@@ -20,7 +20,8 @@ pub struct FlowConfig {
     /// the port conductance half the cell-to-cell one. See DESIGN.md §3.
     pub port_loss_factor: f64,
     /// Escalation ladder for the pressure solve. The constructors install
-    /// the SPD preset (Jacobi-CG first, exactly the pre-ladder solver);
+    /// the SPD preset (CG first, which [`FlowModel`](crate::FlowModel)
+    /// preconditions with IC(0));
     /// deserialized configs missing the field get the general nonsymmetric
     /// ladder, which solves SPD systems correctly too.
     #[serde(default)]

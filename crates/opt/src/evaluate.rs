@@ -1,7 +1,7 @@
 //! Cooling-system evaluation: one network + one benchmark, any pressure.
 
 use coolnet_cases::Benchmark;
-use coolnet_flow::{FlowConfig, FlowModel, LadderHint};
+use coolnet_flow::FlowConfig;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::{FourRm, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
@@ -51,11 +51,10 @@ enum Sim {
 /// Thermal assembly and the hydraulic solve happen once at construction;
 /// each [`profile`](Evaluator::profile) call is a warm-started linear
 /// solve. The evaluator also exposes the `W_pump ↔ P_sys` conversions of
-/// Eq. (10).
+/// Eq. (10), computed from the thermal model's own hydraulic solve
+/// ([`Stack::flow_models`]), so each distinct channel layer is solved once.
 pub struct Evaluator {
     sim: Sim,
-    /// One hydraulic model per channel layer, in stack order.
-    flows: Vec<FlowModel>,
     /// Total unit flow `Σ 1/R_layer` over every channel layer: the layers
     /// share the same system pressure drop, so pumping powers add.
     total_unit_flow: f64,
@@ -85,10 +84,10 @@ impl Evaluator {
     }
 
     /// Builds an evaluator for an explicit [`Stack`]. The pumping-power
-    /// model is built from the stack's own channel layers — every layer
-    /// contributes, since the layers are hydraulically parallel across the
-    /// same system pressure drop. The `_network` argument is retained for
-    /// API compatibility and no longer consulted.
+    /// model is the thermal model's total unit flow over every channel
+    /// layer — every layer contributes, since the layers are hydraulically
+    /// parallel across the same system pressure drop. The `_network`
+    /// argument is retained for API compatibility and no longer consulted.
     ///
     /// # Errors
     ///
@@ -98,46 +97,26 @@ impl Evaluator {
         _network: &CoolingNetwork,
         model: ModelChoice,
     ) -> Result<Self, ThermalError> {
+        if stack.channel_layer_indices().is_empty() {
+            return Err(ThermalError::BadStack {
+                reason: "no channel layer".into(),
+            });
+        }
         let config = ThermalConfig::default();
         let sim = match model {
             ModelChoice::TwoRm { m } => Sim::Two(TwoRm::new(stack, m, &config)?),
             ModelChoice::FourRm => Sim::Four(FourRm::new(stack, &config)?),
         };
-        // Hydraulic models for W_pump: one per channel layer. A multi-die
-        // stack has one channel layer per die; counting only the first
-        // undercounts W_pump N× and makes pressure_for_power convert the
-        // Problem-2 budget into a too-generous pressure cap.
-        let mut flows = Vec::new();
-        // One sticky rung hint across the layer loop: the layers share
-        // geometry, so an escalation on one layer's pressure solve starts
-        // the remaining layers on the rung that worked. The hint is local
-        // to this construction, keeping the evaluator replay-deterministic.
-        let mut flow_hint = LadderHint::new();
-        for &li in stack.channel_layer_indices().iter() {
-            if let coolnet_thermal::LayerKind::Channel {
-                network,
-                flow,
-                widths,
-                ..
-            } = &stack.layers()[li].kind
-            {
-                flows.push(FlowModel::with_widths_hinted(
-                    network,
-                    flow,
-                    widths.as_ref(),
-                    &mut flow_hint,
-                )?);
-            }
-        }
-        if flows.is_empty() {
-            return Err(ThermalError::BadStack {
-                reason: "no channel layer".into(),
-            });
-        }
-        let total_unit_flow = flows.iter().map(|f| 1.0 / f.system_resistance()).sum();
+        // W_pump counts every channel layer: a multi-die stack has one per
+        // die, and counting only the first undercounts W_pump N× and makes
+        // pressure_for_power convert the Problem-2 budget into a
+        // too-generous pressure cap.
+        let total_unit_flow = match &sim {
+            Sim::Two(s) => s.unit_flow(),
+            Sim::Four(s) => s.unit_flow(),
+        };
         Ok(Self {
             sim,
-            flows,
             total_unit_flow,
             last: RefCell::new(None),
             probes: RefCell::new(0),
@@ -205,20 +184,23 @@ impl Evaluator {
     }
 
     /// The pressure producing total pumping power `w` across all channel
-    /// layers (inverse of Eq. (10)).
+    /// layers (inverse of Eq. (10)), rounded so it never exceeds `w`: the
+    /// largest pressure at or below `sqrt(w / G)` whose
+    /// [`w_pump`](Self::w_pump) is at most `w`. The raw square root can
+    /// land a few ulps high, which would put a design at the Problem-2
+    /// pressure cap over its pumping budget.
     pub fn pressure_for_power(&self, w: Watt) -> Pascal {
-        Pascal::new((w.value() / self.total_unit_flow).sqrt())
+        let mut p = (w.value() / self.total_unit_flow).sqrt();
+        while self.w_pump(Pascal::new(p)).value() > w.value() {
+            p = p.next_down();
+        }
+        Pascal::new(p)
     }
 
     /// System fluid resistance `R_sys` of the whole stack (channel layers
     /// in parallel).
     pub fn system_resistance(&self) -> f64 {
         1.0 / self.total_unit_flow
-    }
-
-    /// The per-channel-layer hydraulic models, in stack order.
-    pub fn layer_flows(&self) -> &[FlowModel] {
-        &self.flows
     }
 
     /// Number of thermal solves performed so far (diagnostics; the paper's
@@ -264,6 +246,7 @@ impl std::fmt::Debug for Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coolnet_flow::FlowModel;
     use coolnet_grid::{tsv, Dir, GridDims};
     use coolnet_network::builders::straight::{self, StraightParams};
 
@@ -319,6 +302,7 @@ mod tests {
         let p = Pascal::from_kilopascals(10.0);
 
         let mut expected = 0.0;
+        let mut unit_flows = 0.0;
         let mut first_layer_only = None;
         for &li in stack.channel_layer_indices().iter() {
             if let coolnet_thermal::LayerKind::Channel {
@@ -328,10 +312,9 @@ mod tests {
                 ..
             } = &stack.layers()[li].kind
             {
-                let w = FlowModel::with_widths(network, flow, widths.as_ref())
-                    .unwrap()
-                    .pumping_power(p)
-                    .value();
+                let model = FlowModel::with_widths(network, flow, widths.as_ref()).unwrap();
+                unit_flows += 1.0 / model.system_resistance();
+                let w = model.pumping_power(p).value();
                 first_layer_only.get_or_insert(w);
                 expected += w;
             }
@@ -340,6 +323,12 @@ mod tests {
         assert!(
             (got - expected).abs() / expected < 1e-12,
             "W_pump {got} != per-layer sum {expected}"
+        );
+        // The shared models give the bits of Eq. (10) over independently
+        // solved layers: P² · Σ 1/R_layer.
+        assert_eq!(
+            got.to_bits(),
+            (p.value() * p.value() * unit_flows).to_bits()
         );
         // Guard against the single-layer regression explicitly.
         let single = first_layer_only.unwrap();
@@ -350,6 +339,25 @@ mod tests {
         // The inverse conversion must round-trip through the summed model.
         let back = ev.pressure_for_power(ev.w_pump(p)).value();
         assert!((back - p.value()).abs() / p.value() < 1e-9);
+    }
+
+    #[test]
+    fn pressure_cap_never_exceeds_the_pumping_budget() {
+        let (bench, net) = setup();
+        let ev = Evaluator::new(&bench, &net, ModelChoice::fast()).unwrap();
+        let g = ev.w_pump(Pascal::new(1.0)).value();
+        let mut raw_overshoots = 0;
+        for k in 1..=2000 {
+            let w = k as f64 * 1.7e-5;
+            let raw = (w / g).sqrt();
+            raw_overshoots += usize::from(ev.w_pump(Pascal::new(raw)).value() > w);
+            let p = ev.pressure_for_power(Watt::new(w)).value();
+            assert!(ev.w_pump(Pascal::new(p)).value() <= w, "budget {w}");
+            // The largest such pressure at or below the raw square root.
+            assert!(p <= raw);
+            assert!(p == raw || ev.w_pump(Pascal::new(p.next_up())).value() > w);
+        }
+        assert!(raw_overshoots > 0, "no budget exercised the rounding");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   the token crossing is observed at a deterministic checkpoint and
 //!   recorded as the job's [`CutPoint`](coolnet_opt::CutPoint).
 //!
+//! The solver workers start with the queue, the runners and the watchdog
+//! with its first submission, and dropping the queue stops the workers
+//! last. A queue built after another then reuses the memory its
+//! predecessor's workers freed (see [`SolverPool::new`]).
+//!
 //! Jobs share one process-wide [`EvalCache`]; each job's scores are
 //! memoized under a scope key derived from its benchmark and
 //! pressure-search options, so heterogeneous tenants cannot poison each
@@ -39,7 +44,7 @@ use coolnet_opt::{CancelToken, RequestScorer, SearchControl, SearchOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -135,23 +140,32 @@ type Submission = (JobSpec, CancelToken, Sender<JobArtifact>);
 pub struct JobQueue {
     shared: Arc<Shared>,
     submit_tx: Option<Sender<Submission>>,
-    runners: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
+    submit_rx: Arc<Mutex<Receiver<Submission>>>,
+    /// Runners and watchdog, started by the first submission.
+    threads: OnceLock<QueueThreads>,
     shutdown: Arc<AtomicBool>,
+}
+
+/// The threads a queue starts on its first submission.
+struct QueueThreads {
+    runners: Vec<JoinHandle<()>>,
+    watchdog: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for JobQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobQueue")
-            .field("concurrency", &self.runners.len())
+            .field("concurrency", &self.shared.opts.concurrency.max(1))
             .field("pool_threads", &self.shared.pool.threads())
             .finish()
     }
 }
 
 impl JobQueue {
-    /// Builds a queue: spawns the runner threads, the shared solver pool
-    /// and the deadline watchdog.
+    /// Builds a queue and its shared solver pool. The runner threads and
+    /// the deadline watchdog start with the first submission, after the
+    /// pool's workers run (see [`SolverPool::new`] for why the solver
+    /// threads start first).
     pub fn new(opts: QueueOptions) -> Self {
         let pool_threads = match opts.pool_threads {
             0 => std::thread::available_parallelism().map_or(2, |p| p.get()),
@@ -159,7 +173,6 @@ impl JobQueue {
         };
         let cache =
             (opts.cache_capacity > 0).then(|| Arc::new(EvalCache::new(opts.cache_capacity)));
-        let concurrency = opts.concurrency.max(1);
         let shared = Arc::new(Shared {
             pool: SolverPool::new(pool_threads),
             cache,
@@ -167,37 +180,39 @@ impl JobQueue {
             watches: Mutex::new(Vec::new()),
         });
         let (submit_tx, submit_rx) = channel::<Submission>();
-        let submit_rx = Arc::new(Mutex::new(submit_rx));
-        let runners = (0..concurrency)
+        Self {
+            shared,
+            submit_tx: Some(submit_tx),
+            submit_rx: Arc::new(Mutex::new(submit_rx)),
+            threads: OnceLock::new(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// Spawns the runner threads and the deadline watchdog.
+    fn start_threads(&self) -> QueueThreads {
+        let runners = (0..self.shared.opts.concurrency.max(1))
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&submit_rx);
+                let shared = Arc::clone(&self.shared);
+                let rx = Arc::clone(&self.submit_rx);
                 std::thread::Builder::new()
                     .name(format!("coolnet-runner-{i}"))
                     .spawn(move || runner_loop(&shared, &rx))
                     .expect("spawning a job runner thread")
             })
             .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("coolnet-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, &shutdown))
-                .expect("spawning the deadline watchdog thread")
-        };
-        Self {
-            shared,
-            submit_tx: Some(submit_tx),
-            runners,
-            watchdog: Some(watchdog),
-            shutdown,
-        }
+        let shared = Arc::clone(&self.shared);
+        let shutdown = Arc::clone(&self.shutdown);
+        let watchdog = std::thread::Builder::new()
+            .name("coolnet-watchdog".into())
+            .spawn(move || watchdog_loop(&shared, &shutdown))
+            .expect("spawning the deadline watchdog thread");
+        QueueThreads { runners, watchdog }
     }
 
     /// Submits one job; returns immediately with its handle.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
+        self.threads.get_or_init(|| self.start_threads());
         let id = spec.id.clone();
         let token = CancelToken::new();
         let (tx, rx) = channel();
@@ -229,16 +244,17 @@ impl Drop for JobQueue {
         // Close the submission channel: runners drain pending jobs, then
         // exit on the disconnect.
         self.submit_tx = None;
-        for runner in self.runners.drain(..) {
+        let Some(threads) = self.threads.take() else {
+            return; // nothing was submitted, so no runner started
+        };
+        for runner in threads.runners {
             if let Err(payload) = runner.join() {
                 std::panic::resume_unwind(payload);
             }
         }
         self.shutdown.store(true, Ordering::Release);
-        if let Some(watchdog) = self.watchdog.take() {
-            if let Err(payload) = watchdog.join() {
-                std::panic::resume_unwind(payload);
-            }
+        if let Err(payload) = threads.watchdog.join() {
+            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -486,6 +502,26 @@ mod tests {
             backoff_ms: 0,
             ..QueueOptions::default()
         })
+    }
+
+    #[test]
+    fn runners_start_with_the_first_submission() {
+        // A queue that never receives a job drops without runners.
+        drop(quick_queue(2));
+
+        let queue = quick_queue(3);
+        assert!(queue.threads.get().is_none());
+        let mut spec = JobSpec::quick("bad", 1, Problem::PumpingPower, 1);
+        spec.case = 9;
+        let first = queue.submit(spec.clone());
+        assert_eq!(queue.threads.get().map(|t| t.runners.len()), Some(3));
+        assert!(matches!(first.wait().outcome, JobOutcome::Failed { .. }));
+        // Later submissions reuse the same runners.
+        assert!(matches!(
+            queue.submit(spec).wait().outcome,
+            JobOutcome::Failed { .. }
+        ));
+        assert_eq!(queue.threads.get().map(|t| t.runners.len()), Some(3));
     }
 
     #[test]

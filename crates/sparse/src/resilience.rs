@@ -1446,10 +1446,11 @@ mod tests {
         let ladder = SolveLadder::nonsymmetric();
         let mut hint = LadderHint::pinned(2);
         let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
-        let _scope = fault::inject(&plan);
+        let scope = fault::inject(&plan);
         let sol = ladder
             .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut hint)
             .unwrap();
+        drop(scope);
         // Attempt 0 is the hinted rung taking the injected fault; the
         // recovery cascade then starts over at rung 0 and succeeds.
         assert_eq!(sol.report.attempts[0].rung, 2);
@@ -1460,6 +1461,12 @@ mod tests {
         // The hint is cleared and the recovery does not re-stick it.
         assert_eq!(hint.rung(), None);
         check_close(&a, &sol.solution, &b);
+        // The recovered answer is the unfaulted solve, bit for bit.
+        let _clean = fault::inject(&FaultPlan::none());
+        let unfaulted = ladder
+            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
+            .unwrap();
+        assert_eq!(sol.solution, unfaulted.solution);
     }
 
     #[test]

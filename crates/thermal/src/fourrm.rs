@@ -11,7 +11,6 @@ use crate::config::ThermalConfig;
 use crate::error::ThermalError;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::stack::{LayerKind, Stack};
-use coolnet_flow::FlowModel;
 use coolnet_grid::{Cell, Dir};
 use coolnet_units::Pascal;
 
@@ -24,6 +23,9 @@ use coolnet_units::Pascal;
 pub struct FourRm {
     assembled: Assembled,
     config: ThermalConfig,
+    /// Total coolant flow at `P_sys = 1 Pa`, `Σ 1/R_layer` over the
+    /// channel layers in stack order.
+    unit_flow: f64,
 }
 
 impl FourRm {
@@ -211,18 +213,9 @@ impl FourRm {
         }
 
         // Advection from the hydraulic solution of each channel layer.
-        for (l, layer) in layers.iter().enumerate() {
-            let LayerKind::Channel {
-                network,
-                flow,
-                widths,
-                ..
-            } = &layer.kind
-            else {
-                continue;
-            };
-            let model = FlowModel::with_widths(network, flow, widths.as_ref())?;
-            let cv = flow.coolant.volumetric_heat_capacity();
+        let flows = stack.flow_models()?;
+        for (&l, model) in stack.channel_layer_indices().iter().zip(&flows) {
+            let cv = model.config().coolant.volumetric_heat_capacity();
             let p = model.unit_pressures();
             for (i, &cell) in model.cells().iter().enumerate() {
                 let ni = node(l, dims.index(cell));
@@ -247,7 +240,17 @@ impl FourRm {
         Ok(Self {
             assembled: asm,
             config: config.clone(),
+            unit_flow: flows.iter().map(|f| 1.0 / f.system_resistance()).sum(),
         })
+    }
+
+    /// Total coolant flow at `P_sys = 1 Pa` over every channel layer,
+    /// `Σ 1/R_layer` in stack order, from the same hydraulic models as the
+    /// advection operator ([`Stack::flow_models`]). The layers are
+    /// hydraulically parallel across one system pressure drop, so
+    /// `W_pump = P_sys² · unit_flow` (Eq. (10)).
+    pub fn unit_flow(&self) -> f64 {
+        self.unit_flow
     }
 
     /// Number of thermal nodes (`layers × cells`).
@@ -302,6 +305,7 @@ impl FourRm {
 mod tests {
     use super::*;
     use crate::power::PowerMap;
+    use coolnet_flow::FlowModel;
     use coolnet_grid::{GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
 

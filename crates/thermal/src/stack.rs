@@ -2,11 +2,12 @@
 
 use crate::error::ThermalError;
 use crate::power::PowerMap;
-use coolnet_flow::{FlowConfig, WidthMap};
+use coolnet_flow::{FlowConfig, FlowError, FlowModel, WidthMap};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_units::Material;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What a layer is made of.
 ///
@@ -324,6 +325,48 @@ impl Stack {
             .collect()
     }
 
+    /// The hydraulic model of every channel layer, bottom to top (one
+    /// entry per [`channel_layer_indices`](Self::channel_layer_indices)).
+    ///
+    /// This is the one place a stack's pressure systems are solved. A
+    /// layer whose network, flow configuration and width map equal an
+    /// earlier layer's shares that layer's model instead of solving the
+    /// same system again: the searches stack one network on every die, so
+    /// an N-die stack costs one unit-pressure solve. The thermal models
+    /// build their advection and their `W_pump` unit flow
+    /// ([`TwoRm::unit_flow`](crate::TwoRm::unit_flow)) from these models.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FlowError`] from a layer's pressure solve.
+    pub fn flow_models(&self) -> Result<Vec<Arc<FlowModel>>, FlowError> {
+        type Key<'a> = (&'a CoolingNetwork, &'a FlowConfig, Option<&'a WidthMap>);
+        let mut solved: Vec<(Key<'_>, Arc<FlowModel>)> = Vec::new();
+        let mut models = Vec::new();
+        for layer in &self.layers {
+            let LayerKind::Channel {
+                network,
+                flow,
+                widths,
+                ..
+            } = &layer.kind
+            else {
+                continue;
+            };
+            let key = (network, flow, widths.as_ref());
+            let model = match solved.iter().find(|(k, _)| *k == key) {
+                Some((_, model)) => Arc::clone(model),
+                None => {
+                    let model = Arc::new(FlowModel::with_widths(network, flow, widths.as_ref())?);
+                    solved.push((key, Arc::clone(&model)));
+                    model
+                }
+            };
+            models.push(model);
+        }
+        Ok(models)
+    }
+
     /// Total dissipated power over all dies.
     pub fn total_power(&self) -> coolnet_units::Watt {
         let total = self
@@ -433,6 +476,32 @@ mod tests {
             Stack::interlayer(dims, 100e-6, vec![p], &nets, 200e-6),
             Err(ThermalError::BadStack { .. })
         ));
+    }
+
+    #[test]
+    fn equal_channel_layers_share_one_flow_model() {
+        let dims = GridDims::new(5, 5);
+        let p = PowerMap::uniform(dims, 1.0);
+        let powers = vec![p.clone(), p.clone(), p];
+        let shared =
+            Stack::interlayer(dims, 100e-6, powers.clone(), &[small_network(dims)], 200e-6)
+                .unwrap();
+        let models = shared.flow_models().unwrap();
+        assert_eq!(models.len(), 3);
+        assert!(models.iter().all(|m| Arc::ptr_eq(m, &models[0])));
+
+        // A different middle network gets its own model; the outer two
+        // layers still share theirs.
+        let mut b = CoolingNetwork::builder(dims);
+        b.segment(Cell::new(0, 2), Dir::East, dims.width());
+        b.port(PortKind::Inlet, Side::West, 0, dims.height() - 1);
+        b.port(PortKind::Outlet, Side::East, 0, dims.height() - 1);
+        let nets = [small_network(dims), b.build().unwrap(), small_network(dims)];
+        let mixed = Stack::interlayer(dims, 100e-6, powers, &nets, 200e-6).unwrap();
+        let models = mixed.flow_models().unwrap();
+        assert!(!Arc::ptr_eq(&models[0], &models[1]));
+        assert!(Arc::ptr_eq(&models[0], &models[2]));
+        assert!(models[1].system_resistance() > models[0].system_resistance());
     }
 
     #[test]

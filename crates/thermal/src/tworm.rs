@@ -22,7 +22,6 @@ use crate::config::ThermalConfig;
 use crate::error::ThermalError;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::stack::{LayerKind, Stack};
-use coolnet_flow::FlowModel;
 use coolnet_grid::{Cell, Coarsening, Dir};
 use coolnet_units::Pascal;
 
@@ -57,6 +56,9 @@ pub struct TwoRm {
     assembled: Assembled,
     config: ThermalConfig,
     coarsening: Coarsening,
+    /// Total coolant flow at `P_sys = 1 Pa`, `Σ 1/R_layer` over the
+    /// channel layers in stack order.
+    unit_flow: f64,
 }
 
 impl TwoRm {
@@ -330,23 +332,14 @@ impl TwoRm {
         }
 
         // --- Advection (net coarse-cell flows from the fine solution) ---------
-        for (l, layer) in layers.iter().enumerate() {
-            let LayerKind::Channel {
-                network,
-                flow,
-                widths,
-                ..
-            } = &layer.kind
-            else {
-                continue;
-            };
+        let flows = stack.flow_models()?;
+        for (&l, model) in stack.channel_layer_indices().iter().zip(&flows) {
             let LayerNodes::Channel { liquid, .. } = &nodes[l] else {
                 return Err(ThermalError::BadStack {
                     reason: format!("layer {l}: channel layer lost its liquid node bank"),
                 });
             };
-            let model = FlowModel::with_widths(network, flow, widths.as_ref())?;
-            let cv = flow.coolant.volumetric_heat_capacity();
+            let cv = model.config().coolant.volumetric_heat_capacity();
             let p = model.unit_pressures();
 
             // Net flows between coarse cells and port flows per coarse cell.
@@ -405,7 +398,17 @@ impl TwoRm {
             assembled: asm,
             config: config.clone(),
             coarsening,
+            unit_flow: flows.iter().map(|f| 1.0 / f.system_resistance()).sum(),
         })
+    }
+
+    /// Total coolant flow at `P_sys = 1 Pa` over every channel layer,
+    /// `Σ 1/R_layer` in stack order, from the same hydraulic models as the
+    /// advection operator ([`Stack::flow_models`]). The layers are
+    /// hydraulically parallel across one system pressure drop, so
+    /// `W_pump = P_sys² · unit_flow` (Eq. (10)).
+    pub fn unit_flow(&self) -> f64 {
+        self.unit_flow
     }
 
     /// Number of thermal nodes (≈ `layers × cells / m²`).
@@ -591,6 +594,7 @@ mod tests {
     use super::*;
     use crate::fourrm::FourRm;
     use crate::power::PowerMap;
+    use coolnet_flow::FlowModel;
     use coolnet_grid::{GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
 

@@ -103,6 +103,42 @@ fn problem2_pipeline_metrics_are_consistent() {
     assert_eq!(after.counter_delta(&before, "flow.assemblies"), 0);
 }
 
+/// The evaluator solves each distinct channel layer's hydraulics once:
+/// the thermal advection and `W_pump` come from the same solve.
+#[test]
+fn evaluator_assembles_each_distinct_channel_layer_once() {
+    let _guard = metrics_lock();
+    let dims = GridDims::new(21, 21);
+    let straight_net = |bench: &Benchmark, dir| {
+        straight::build(dims, &bench.tsv, dir, &StraightParams::default()).unwrap()
+    };
+
+    // Case 4: three dies, one network on every channel layer.
+    let case4 = Benchmark::iccad_scaled(4, dims);
+    assert_eq!(case4.num_dies, 3);
+    let net = straight_net(&case4, Dir::East);
+    for model in [ModelChoice::fast(), ModelChoice::FourRm] {
+        let before = obs::snapshot();
+        Evaluator::new(&case4, &net, model).unwrap();
+        let after = obs::snapshot();
+        assert_eq!(
+            after.counter_delta(&before, "flow.assemblies"),
+            1,
+            "{model:?}"
+        );
+    }
+
+    // Case 1 (two dies) built from two different networks.
+    let case1 = Benchmark::iccad_scaled(1, dims);
+    let east = straight_net(&case1, Dir::East);
+    let north = straight_net(&case1, Dir::North);
+    let stack = case1.stack_with(&[east.clone(), north]).unwrap();
+    let before = obs::snapshot();
+    Evaluator::from_stack(&stack, &east, ModelChoice::fast()).unwrap();
+    let after = obs::snapshot();
+    assert_eq!(after.counter_delta(&before, "flow.assemblies"), 2);
+}
+
 /// Disabling the layer freezes every counter; re-enabling resumes them.
 #[test]
 fn disabled_layer_freezes_pipeline_counters() {

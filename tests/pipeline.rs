@@ -55,7 +55,8 @@ fn full_pipeline_case1() {
     // power of every channel layer (case 1 is a 2-die stack whose layers
     // share P_sys), so the single-layer hydraulic model scales by the
     // layer count.
-    let layers = ev.layer_flows().len();
+    let stack = bench.stack_with(std::slice::from_ref(&net)).unwrap();
+    let layers = stack.channel_layer_indices().len();
     assert_eq!(layers, 2, "case 1 is a 2-die stack");
     let w_direct = model.pumping_power(p_sys).value() * layers as f64;
     assert!((w_direct - objective).abs() / objective < 1e-9);
@@ -131,6 +132,36 @@ fn case4_three_die_stack_has_three_channel_layers() {
         assert!(layer.max().value() < 400.0);
         assert!(layer.min().value() >= 299.9);
     }
+}
+
+/// The IC(0)-preconditioned CG rung solves a 41×41 tree network's
+/// pressure system in a few dozen iterations, with no escalation. The
+/// network is a Problem-1 design of case 4 (branch points differ per
+/// tree): IC(0) takes 29 iterations on it, Jacobi took 253.
+#[test]
+fn pressure_solve_of_a_41x41_tree_stays_on_a_short_rung_zero() {
+    use coolnet::network::builders::tree::TreeParams;
+    let bench = case(GridDims::new(41, 41), 4);
+    let config = TreeConfig {
+        flow: GlobalFlow::WestToEast,
+        style: BranchStyle::Binary,
+        trees: [(14, 28), (18, 28), (24, 26), (32, 34), (26, 34)]
+            .into_iter()
+            .map(|(b1, b2)| TreeParams { b1, b2 })
+            .collect(),
+    };
+    let net =
+        coolnet::network::builders::tree::build(bench.dims, &bench.tsv, &bench.restricted, &config)
+            .expect("41x41 tree builds");
+    let model = FlowModel::new(&net, &Evaluator::flow_config_for(&bench)).unwrap();
+    let stats = model.solve_stats();
+    assert_eq!(stats.rung, 0);
+    assert_eq!(stats.attempts, 1);
+    assert!(
+        stats.iterations <= 60,
+        "rung-0 CG took {} iterations",
+        stats.iterations
+    );
 }
 
 #[test]
