@@ -1,6 +1,6 @@
 //! Staged-SA reuse benchmark: wall-clock and transparency of the
-//! evaluation-reuse layer (evaluator cache + persistent worker pool)
-//! against the seed path (no cache, fresh thread scope per iteration).
+//! evaluator cache against scoring every request from scratch. Both arms
+//! score their candidate batches on the run's solver pool.
 //!
 //! ```sh
 //! cargo run --release -p coolnet-bench --bin sa_bench
@@ -16,11 +16,12 @@
 //! comes from a default-scale run.
 //!
 //! Each run is a paired comparison at a fixed seed: the `plain` arm uses
-//! [`ReuseOptions::off`], the `reused` arm the default reuse layer. The
-//! artifact records, per run, the wall time of both arms, the speedup,
-//! and — the transparency contract — whether the two designs are
+//! [`ReuseOptions::off`] (no cache), the `reused` arm the default cache.
+//! The artifact records, per run, the wall time of both arms, the
+//! speedup, and — the transparency contract — whether the two designs are
 //! bit-for-bit identical. Cache and pool counters come from `coolnet-obs`
-//! snapshot deltas scoped to the reused arm.
+//! snapshot deltas scoped to the reused arm; the process-wide `sa.*`
+//! counters (iterations, candidates, acceptances) sit in `metrics`.
 //!
 //! `--threads-sweep` additionally replays each problem at 1, 2 and 4
 //! worker threads (reuse on, candidate count fixed by the schedule) and
@@ -44,9 +45,9 @@ struct RunResult {
     case: usize,
     /// SA seed shared by both arms.
     seed: u64,
-    /// Wall time of the seed path (reuse off), seconds.
+    /// Wall time without the cache, seconds.
     plain_s: f64,
-    /// Wall time with the reuse layer, seconds.
+    /// Wall time with the cache, seconds.
     reused_s: f64,
     /// `plain_s / reused_s`.
     speedup: f64,

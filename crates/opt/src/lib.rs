@@ -11,10 +11,11 @@
 //! * **Network evaluation** — [`netscore`] implements Algorithm 2
 //!   (pumping-power score `W'_pump`) and its Problem-2 counterpart
 //!   (minimum-`ΔT` score under a `W*_pump` budget);
-//! * **Outer level** — [`sa`] provides the parallel simulated-annealing
-//!   engine and [`treeopt`] the staged search over hierarchical tree-like
-//!   network parameters (§4.4, Table 1), including the Problem-2
-//!   adaptations of §5 (grouped iterations under a frozen pressure);
+//! * **Outer level** — [`treeopt`] is the staged simulated-annealing
+//!   search over hierarchical tree-like network parameters (§4.4,
+//!   Table 1), including the Problem-2 adaptations of §5 (grouped
+//!   iterations under a frozen pressure); [`sa`] holds its Metropolis
+//!   acceptance rule;
 //! * **Baselines** — [`baseline`] evaluates the straight-channel networks
 //!   of Tables 3–4 and the manual gallery standing in for the contest's
 //!   first place;
@@ -25,9 +26,10 @@
 //!   scored, replayable trace;
 //! * **Evaluation reuse** — [`evalcache`] memoizes built networks, warm
 //!   evaluators and computed scores behind a bounded LRU cache, and
-//!   [`sa::with_worker_pool`] replaces per-iteration thread spawns with a
-//!   persistent worker pool. Both are behaviorally transparent: a fixed
-//!   seed produces the same design with them on or off.
+//!   [`pool::SolverPool`] is the one executor: persistent worker threads
+//!   that score every candidate batch, for one run or for every job of a
+//!   service. Both are behaviorally transparent: a fixed seed produces
+//!   the same design with the cache on or off and at any thread count.
 //!
 //! # Examples
 //!
@@ -54,6 +56,7 @@ pub mod differential;
 pub mod evalcache;
 pub mod evaluate;
 pub mod netscore;
+pub mod pool;
 pub mod psearch;
 pub mod result;
 pub mod runtime;

@@ -12,19 +12,32 @@ use crate::control::{CutPoint, SearchControl};
 use crate::evalcache::{BuiltEval, EvalCache, ScoreKey};
 use crate::evaluate::{Evaluator, ModelChoice};
 use crate::netscore::{evaluate_problem1, evaluate_problem2, NetworkScore};
+use crate::pool::{PoolExec, ScoreFn, SolverPool};
 use crate::psearch::PressureSearchOptions;
 use crate::result::DesignResult;
-use crate::sa::{scoped_map, with_worker_pool, Acceptor, WorkerPool};
+use crate::sa::Acceptor;
 use crate::Problem;
 use coolnet_cases::Benchmark;
 use coolnet_network::builders::tree::{self, BranchStyle, TreeConfig, TreeParams};
 use coolnet_network::builders::GlobalFlow;
 use coolnet_network::CoolingNetwork;
+use coolnet_obs::LazyCounter;
 use coolnet_units::Pascal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// SA rounds run (one per stage round of a flow).
+static M_RUNS: LazyCounter = LazyCounter::new("sa.runs");
+/// SA iterations (one candidate batch each).
+static M_ITERATIONS: LazyCounter = LazyCounter::new("sa.iterations");
+/// Candidate configurations scored by SA iterations.
+static M_CANDIDATES: LazyCounter = LazyCounter::new("sa.candidates");
+/// Metropolis acceptances (the incumbent moved).
+static M_ACCEPTANCES: LazyCounter = LazyCounter::new("sa.acceptances");
+/// Scores that came back NaN (absorbed as `+∞`).
+static M_EVAL_NANS: LazyCounter = LazyCounter::new("sa.eval_nans");
 
 /// The cost metric of one SA stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,19 +70,16 @@ pub struct Stage {
 }
 
 /// Options of the evaluation-reuse layer: how the staged SA amortizes
-/// repeated work across iterations. Both mechanisms are behaviorally
-/// transparent — a fixed seed yields the same [`DesignResult`] with them
-/// on or off — so these knobs trade memory and thread residency against
-/// wall-clock time only.
+/// repeated work across iterations. Both knobs are behaviorally
+/// transparent — a fixed seed yields the same [`DesignResult`] at any
+/// setting — so they trade memory and threads against wall-clock time
+/// only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReuseOptions {
     /// Capacity of the per-run [`EvalCache`] (built networks, warm
     /// evaluators and memoized scores per `(config, model)`); `0` disables
     /// caching entirely.
     pub cache_capacity: usize,
-    /// Serve candidate scoring from one persistent worker pool per run
-    /// instead of spawning a fresh thread scope every iteration.
-    pub persistent_pool: bool,
     /// Number of evaluation worker threads; `0` (the default) follows
     /// [`TreeSearchOptions::parallelism`].
     ///
@@ -84,23 +94,21 @@ pub struct ReuseOptions {
 }
 
 impl Default for ReuseOptions {
-    /// Cache 512 entries, persistent pool on, threads follow parallelism.
+    /// Cache 512 entries, threads follow parallelism.
     fn default() -> Self {
         Self {
             cache_capacity: 512,
-            persistent_pool: true,
             worker_threads: 0,
         }
     }
 }
 
 impl ReuseOptions {
-    /// The pre-reuse behavior: no cache, fresh thread scope per iteration.
+    /// No cache: every request is built and scored from scratch.
     /// Benchmarks use this as the comparison arm.
     pub fn off() -> Self {
         Self {
             cache_capacity: 0,
-            persistent_pool: false,
             worker_threads: 0,
         }
     }
@@ -131,7 +139,7 @@ pub struct TreeSearchOptions {
     pub seed: u64,
     /// Pressure-search options used by the inner evaluations.
     pub psearch: PressureSearchOptions,
-    /// Evaluation-reuse knobs (cache + persistent worker pool).
+    /// Evaluation-reuse knobs (cache + scoring threads).
     pub reuse: ReuseOptions,
 }
 
@@ -351,9 +359,10 @@ pub struct EvalRequest {
 /// `(cost, optimal pressure if a full evaluation found one)`.
 pub type EvalResponse = (f64, Option<Pascal>);
 
-/// An external batch-execution substrate for candidate scoring — the seam
-/// a multi-job service plugs its process-wide solver pool into (see
-/// [`TreeSearch::run_with_exec`]).
+/// The batch-execution substrate for candidate scoring: a run-private
+/// [`SolverPool`] in [`TreeSearch::run`], or whatever a caller passes to
+/// [`TreeSearch::run_with_exec`] (a multi-job service plugs its
+/// process-wide pool in here).
 ///
 /// Implementations must preserve item order and absorb per-item failures
 /// as `(f64::INFINITY, None)`; determinism of the search only relies on
@@ -363,36 +372,27 @@ pub trait EvalExec: Sync {
     fn score_batch(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse>;
 }
 
-/// How candidate batches are executed: through the run's persistent
-/// worker pool, on a fresh thread scope per batch (the pre-reuse
-/// behavior, kept for comparison benchmarks), or through an external
-/// shared substrate ([`EvalExec`]).
-enum Exec<'a> {
-    Pool(&'a WorkerPool<EvalRequest, EvalResponse>),
-    Scoped {
-        eval: &'a (dyn Fn(&EvalRequest) -> EvalResponse + Sync),
-        threads: usize,
-    },
-    External(&'a dyn EvalExec),
-}
+/// The single seam every batch of the search passes through, whatever
+/// [`EvalExec`] scores it.
+struct Exec<'a>(&'a dyn EvalExec);
 
 impl Exec<'_> {
-    /// Evaluates one batch, preserving order.
+    /// Evaluates one batch, preserving order. Short batches are padded as
+    /// failures, so a misbehaving executor cannot desynchronize the
+    /// candidate/cost pairing, and NaN costs are absorbed as `+∞`: NaN
+    /// compares false both ways, so an incumbent scored NaN would reject
+    /// every candidate.
     fn map(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
-        match self {
-            Exec::Pool(pool) => pool.map(reqs),
-            Exec::Scoped { eval, threads } => {
-                scoped_map(&reqs, |r| eval(r), *threads, (f64::INFINITY, None))
-            }
-            Exec::External(exec) => {
-                let n = reqs.len();
-                let mut out = exec.score_batch(reqs);
-                // A misbehaving substrate must not desynchronize the
-                // candidate/cost pairing; pad short batches as failures.
-                out.resize(n, (f64::INFINITY, None));
-                out
+        let n = reqs.len();
+        let mut out = self.0.score_batch(reqs);
+        out.resize(n, (f64::INFINITY, None));
+        for (cost, _) in &mut out {
+            if cost.is_nan() {
+                M_EVAL_NANS.inc();
+                *cost = f64::INFINITY;
             }
         }
+        out
     }
 
     /// Evaluates one request (through the same path as batches, so cache
@@ -445,10 +445,9 @@ impl RequestScorer {
         self
     }
 
-    /// Scores one request, through the cache when one is attached. NaN
-    /// costs are absorbed as `+∞` (matching the SA layer's contract).
+    /// Scores one request, through the cache when one is attached.
     pub fn score(&self, req: &EvalRequest) -> EvalResponse {
-        let (value, p) = match &self.cache {
+        match &self.cache {
             Some(cache) => {
                 let key = match req.kind {
                     EvalKind::Full => ScoreKey::Full(self.problem),
@@ -468,11 +467,6 @@ impl RequestScorer {
                 Some(built) => self.compute(req.kind, &built.ev),
                 None => (f64::INFINITY, None),
             },
-        };
-        if value.is_nan() {
-            (f64::INFINITY, p)
-        } else {
-            (value, p)
         }
     }
 
@@ -654,8 +648,8 @@ impl<'a> TreeSearch<'a> {
     /// run to its best-so-far incumbent instead of discarding it.
     ///
     /// The evaluation-reuse layer ([`ReuseOptions`]) is set up here: one
-    /// [`EvalCache`] and (optionally) one persistent worker pool serve the
-    /// whole run, across every flow direction, stage, round and iteration.
+    /// [`EvalCache`] and one [`SolverPool`] serve the whole run, across
+    /// every flow direction, stage, round and iteration.
     pub fn run_controlled(&self, problem: Problem, control: &SearchControl) -> SearchOutcome {
         let mut scorer = RequestScorer::new(self.bench, self.opts.psearch, problem);
         if self.opts.reuse.cache_capacity > 0 {
@@ -663,7 +657,7 @@ impl<'a> TreeSearch<'a> {
             // A private per-run cache needs no distinguishing scope.
             scorer = scorer.with_cache(cache, 0);
         }
-        let eval = |req: &EvalRequest| scorer.score(req);
+        let scorer = Arc::new(scorer);
         // Candidate count stays `parallelism` (it shapes the RNG draw
         // sequence); only the scoring thread count follows the override,
         // clamped to the hardware so a 1-core host never time-slices a
@@ -674,24 +668,13 @@ impl<'a> TreeSearch<'a> {
                 0 => self.opts.parallelism,
                 n => n,
             });
-        if self.opts.reuse.persistent_pool {
-            with_worker_pool(threads.max(1), (f64::INFINITY, None), eval, |pool| {
-                self.run_all_flows(problem, control, &Exec::Pool(pool))
-            })
-        } else {
-            self.run_all_flows(
-                problem,
-                control,
-                &Exec::Scoped {
-                    eval: &eval,
-                    threads,
-                },
-            )
-        }
+        let pool = SolverPool::new(threads);
+        let score: ScoreFn = Arc::new(move |req: &EvalRequest| scorer.score(req));
+        self.run_with_exec(problem, control, &PoolExec { pool: &pool, score })
     }
 
     /// Like [`run_controlled`](Self::run_controlled), but scoring every
-    /// candidate through an external [`EvalExec`] substrate instead of a
+    /// candidate through a caller's [`EvalExec`] substrate instead of a
     /// run-private pool — the entry point for a multi-job service sharing
     /// one process-wide solver pool and [`EvalCache`] across tenants. The
     /// caller owns caching (attach one to the [`RequestScorer`] behind
@@ -703,7 +686,7 @@ impl<'a> TreeSearch<'a> {
         control: &SearchControl,
         exec: &dyn EvalExec,
     ) -> SearchOutcome {
-        self.run_all_flows(problem, control, &Exec::External(exec))
+        self.run_all_flows(problem, control, &Exec(exec))
     }
 
     fn run_all_flows(
@@ -942,6 +925,7 @@ impl<'a> TreeSearch<'a> {
         control: &SearchControl,
         exec: &Exec<'_>,
     ) -> ((TreeConfig, f64), Option<CutPoint>) {
+        M_RUNS.inc();
         let mut rng = StdRng::seed_from_u64(seed);
         // Fixed pressure for cheap metrics: from a full evaluation of the
         // initial configuration (fallback: the search default).
@@ -1025,6 +1009,8 @@ impl<'a> TreeSearch<'a> {
             let candidates: Vec<TreeConfig> = (0..self.opts.parallelism.max(1))
                 .map(|_| self.perturb(&current, stage.step, &mut rng))
                 .collect();
+            M_ITERATIONS.inc();
+            M_CANDIDATES.add(candidates.len() as u64);
             let costs: Vec<f64> = exec
                 .map(
                     candidates
@@ -1051,6 +1037,7 @@ impl<'a> TreeSearch<'a> {
                 }
             }
             if acceptor.accept(current_cost, c) {
+                M_ACCEPTANCES.inc();
                 current = candidates[k].clone();
                 current_cost = c;
                 if c < best_cost {
@@ -1081,6 +1068,15 @@ pub type TreeParameters = TreeParams;
 mod tests {
     use super::*;
     use coolnet_grid::GridDims;
+
+    /// Scores every batch serially with a closure.
+    struct FnExec<F>(F);
+
+    impl<F: Fn(&EvalRequest) -> EvalResponse + Sync> EvalExec for FnExec<F> {
+        fn score_batch(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
+            reqs.iter().map(&self.0).collect()
+        }
+    }
 
     #[test]
     fn clamp_even_behaves() {
@@ -1251,10 +1247,7 @@ mod tests {
                 }
             }
         };
-        let exec = Exec::Scoped {
-            eval: &eval,
-            threads: 1,
-        };
+        let exec = FnExec(eval);
         let stage = Stage {
             iterations: 8,
             rounds: 1,
@@ -1264,7 +1257,7 @@ mod tests {
             group: 4,
         };
         let ((_, _), cut) =
-            search.run_stage_round(&stage, &init, 42, &SearchControl::unlimited(), &exec);
+            search.run_stage_round(&stage, &init, 42, &SearchControl::unlimited(), &Exec(&exec));
         assert!(cut.is_none());
 
         let log = log.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -1277,6 +1270,41 @@ mod tests {
         let objectives = log.iter().filter(|&&t| t == 'O').count();
         assert_eq!(fulls, 5, "{log:?}");
         assert_eq!(objectives, 6, "{log:?}");
+    }
+
+    #[test]
+    fn nan_scored_incumbent_does_not_freeze_the_chain() {
+        // An executor that scores the initial configuration NaN. Without
+        // the seam's NaN → +∞ absorption every `accept(NaN, c)` rejects
+        // (NaN compares false both ways), so the chain froze on its start.
+        let bench = Benchmark::iccad_scaled(1, GridDims::new(21, 21));
+        let mut opts = TreeSearchOptions::quick(1);
+        opts.parallelism = 2;
+        let search = TreeSearch::new(&bench, opts);
+        let init = search
+            .initial_config(GlobalFlow::WestToEast)
+            .expect("initial config");
+        let exec = FnExec(|req: &EvalRequest| -> EvalResponse {
+            if req.config == init {
+                (f64::NAN, None)
+            } else {
+                let b1: u16 = req.config.trees.iter().map(|t| t.b1).sum();
+                (f64::from(b1), None)
+            }
+        });
+        let stage = Stage {
+            iterations: 4,
+            rounds: 1,
+            step: 4,
+            model: ModelChoice::fast(),
+            metric: StageMetric::Full,
+            group: 1,
+        };
+        let ((best, cost), cut) =
+            search.run_stage_round(&stage, &init, 42, &SearchControl::unlimited(), &Exec(&exec));
+        assert!(cut.is_none());
+        assert!(cost.is_finite(), "the chain must reach a finite candidate");
+        assert_ne!(best, init);
     }
 
     #[test]
@@ -1393,12 +1421,6 @@ mod tests {
         // The serve-style execution seam must be score-transparent: a
         // trivial EvalExec over a RequestScorer yields the same design as
         // the run-private pool path.
-        struct SerialExec(RequestScorer);
-        impl EvalExec for SerialExec {
-            fn score_batch(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
-                reqs.iter().map(|r| self.0.score(r)).collect()
-            }
-        }
         let bench = Benchmark::iccad_scaled(1, GridDims::new(21, 21));
         let mut opts = TreeSearchOptions::quick(7);
         opts.parallelism = 2;
@@ -1409,7 +1431,7 @@ mod tests {
         let external = search.run_with_exec(
             Problem::PumpingPower,
             &SearchControl::unlimited(),
-            &SerialExec(scorer),
+            &FnExec(|r: &EvalRequest| scorer.score(r)),
         );
         let internal = search.run(Problem::PumpingPower);
         match (external, internal) {

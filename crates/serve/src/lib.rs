@@ -7,7 +7,8 @@
 //! batch/queue workload:
 //!
 //! * **Multi-tenancy** — a [`JobQueue`] drives N jobs concurrently over
-//!   one process-wide [`SolverPool`](pool::SolverPool) and one scope-keyed
+//!   one process-wide [`SolverPool`] (the optimizer's one executor,
+//!   shared here instead of built per run) and one scope-keyed
 //!   [`EvalCache`](coolnet_opt::evalcache::EvalCache); per-job state
 //!   (frozen pressures, warm starts, RNG chains) stays private to each
 //!   job.

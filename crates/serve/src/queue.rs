@@ -36,7 +36,7 @@
 //! poison-recovering helpers of [`coolnet_obs::sync`].
 
 use crate::job::{BatchReport, JobArtifact, JobSpec};
-use crate::pool::{ScoreFn, SolverPool};
+use crate::pool::{PoolExec, ScoreFn, SolverPool};
 use coolnet_obs::sync::lock_recover;
 use coolnet_opt::evalcache::EvalCache;
 use coolnet_opt::treeopt::{EvalExec, EvalRequest, EvalResponse, TreeSearch};
@@ -312,14 +312,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// An [`EvalExec`] that forwards batches to the shared pool through the
-/// job's scoring function, optionally panicking at a scripted batch
-/// index — the coordinating-thread fault used by chaos drills. The
+/// A [`PoolExec`] on the shared pool, optionally panicking at a scripted
+/// batch index — the coordinating-thread fault used by chaos drills. The
 /// panic fires *before* dispatch, on the runner thread, where the
 /// job-level `catch_unwind` absorbs it.
 struct PooledExec<'a> {
-    pool: &'a SolverPool,
-    score: ScoreFn,
+    exec: PoolExec<'a>,
     batches: AtomicU64,
     fault_at: Option<u64>,
 }
@@ -330,7 +328,7 @@ impl EvalExec for PooledExec<'_> {
         if Some(index) == self.fault_at {
             panic!("injected fault: scoring batch {index}");
         }
-        self.pool.execute(reqs, &self.score).0
+        self.exec.score_batch(reqs)
     }
 }
 
@@ -450,8 +448,10 @@ fn run_attempt(
     let scorer = Arc::new(scorer);
     let score: ScoreFn = Arc::new(move |req: &EvalRequest| scorer.score(req));
     let exec = PooledExec {
-        pool: &shared.pool,
-        score,
+        exec: PoolExec {
+            pool: &shared.pool,
+            score,
+        },
         batches: AtomicU64::new(0),
         fault_at: fault_active
             .then(|| spec.fault.map(|f| f.at_batch))
