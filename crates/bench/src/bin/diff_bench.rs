@@ -60,8 +60,6 @@ struct LadderSummary {
     escalations: u64,
     /// Attempts beyond one per solve (`attempts - solves`).
     wasted_attempts: u64,
-    /// Solves started on a sticky per-site rung hint.
-    hinted_solves: u64,
     /// Solves the diagnostics gate routed straight to the dense rung.
     diag_routed: u64,
 }
@@ -75,7 +73,6 @@ impl LadderSummary {
             attempts,
             escalations: after.counter_delta(before, "ladder.escalations"),
             wasted_attempts: attempts.saturating_sub(solves),
-            hinted_solves: after.counter_delta(before, "ladder.hinted_solves"),
             diag_routed: after.counter_delta(before, "ladder.diag_routed"),
         }
     }

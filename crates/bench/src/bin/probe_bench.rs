@@ -56,9 +56,6 @@ struct ConfigResult {
     wasted_attempts: u64,
     /// Escalations per solve in the window (0 under `--no-metrics`).
     escalation_rate: f64,
-    /// Solves started on a sticky rung hint (delta of
-    /// `ladder.hinted_solves`).
-    hinted_solves: u64,
     /// Solves the diagnostics gate routed straight to the dense rung
     /// (delta of `ladder.diag_routed`).
     diag_routed: u64,
@@ -150,7 +147,6 @@ fn measure(
         } else {
             escalations as f64 / solves as f64
         },
-        hinted_solves: after.counter_delta(&before, "ladder.hinted_solves"),
         diag_routed: after.counter_delta(&before, "ladder.diag_routed"),
     };
     println!(

@@ -69,7 +69,7 @@ struct RunResult {
 
 /// Escalation-tax accounting over a snapshot window: how many ladder
 /// attempts were spent beyond the first attempt of each solve, and how
-/// the adaptive ladder (sticky hints + diagnostics gate) avoided them.
+/// the diagnostics gate avoided them.
 #[derive(Debug, Serialize)]
 struct LadderSummary {
     /// Ladder solves in the window.
@@ -83,8 +83,6 @@ struct LadderSummary {
     wasted_attempts: u64,
     /// `escalations / solves` (0 when no solves ran).
     escalation_rate: f64,
-    /// Solves started on a sticky per-site rung hint.
-    hinted_solves: u64,
     /// Solves the diagnostics gate routed straight to the dense rung.
     diag_routed: u64,
 }
@@ -104,7 +102,6 @@ impl LadderSummary {
             } else {
                 escalations as f64 / solves as f64
             },
-            hinted_solves: after.counter_delta(before, "ladder.hinted_solves"),
             diag_routed: after.counter_delta(before, "ladder.diag_routed"),
         }
     }
@@ -240,12 +237,11 @@ fn run_pair(bench: &Benchmark, problem: Problem, case: usize, quick: bool, seed:
     );
     println!(
         "            ladder: {} solves, {} attempts ({} wasted), esc rate {:.4}, \
-         {} hinted, {} routed",
+         {} routed",
         result.ladder.solves,
         result.ladder.attempts,
         result.ladder.wasted_attempts,
         result.ladder.escalation_rate,
-        result.ladder.hinted_solves,
         result.ladder.diag_routed,
     );
     result
@@ -379,12 +375,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ladder = LadderSummary::delta(&metrics, &origin);
     println!(
         "escalation tax: {} solves, {} attempts, {} wasted (rate {:.4}), \
-         {} hinted, {} routed",
+         {} routed",
         ladder.solves,
         ladder.attempts,
         ladder.wasted_attempts,
         ladder.escalation_rate,
-        ladder.hinted_solves,
         ladder.diag_routed,
     );
     let artifact = SaBench {

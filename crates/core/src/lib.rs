@@ -100,10 +100,10 @@ pub mod prelude {
     pub use coolnet_opt::baseline;
     pub use coolnet_opt::psearch::PressureSearchOptions;
     pub use coolnet_opt::runtime::{
-        pumping_energy, simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions,
+        simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions,
     };
     pub use coolnet_opt::scenario::{
-        run_scenario, EventAction, ScenarioEvent, ScenarioSpec, ScenarioTrace,
+        run_scenario, EventAction, ScenarioError, ScenarioEvent, ScenarioSpec, ScenarioTrace,
     };
     pub use coolnet_opt::treeopt::{
         ReuseOptions, Stage, StageMetric, TreeSearch, TreeSearchOptions,

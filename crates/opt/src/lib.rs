@@ -19,11 +19,11 @@
 //! * **Baselines** — [`baseline`] evaluates the straight-channel networks
 //!   of Tables 3–4 and the manual gallery standing in for the contest's
 //!   first place;
-//! * **Run-time management** — [`runtime`] closes a proportional flow
-//!   controller around the transient plant under DVFS power traces, and
-//!   [`scenario`] generalizes it to declarative timed-event scenarios
-//!   (hotspot migration, pump failure/recovery, inlet excursions) with a
-//!   scored, replayable trace;
+//! * **Run-time management** — [`scenario`] runs declarative timed-event
+//!   scenarios (DVFS steps, hotspot migration, pump failure/recovery,
+//!   inlet excursions) through the transient plant under a proportional
+//!   flow controller, with a scored, replayable trace; [`runtime`] is its
+//!   front end for plain DVFS power traces;
 //! * **Evaluation reuse** — [`evalcache`] memoizes built networks, warm
 //!   evaluators and computed scores behind a bounded LRU cache, and
 //!   [`pool::SolverPool`] is the one executor: persistent worker threads

@@ -6,27 +6,23 @@
 //! A [`PowerTrace`] describes die power over time (DVFS phases); a
 //! proportional [`FlowController`] adjusts the pump pressure at a fixed
 //! control interval to keep `T_max` at a setpoint, spending pumping energy
-//! only when the workload requires it. The plant model is the transient
-//! 2RM simulator; changing the pressure swaps the advection operator, so
-//! the integrator is rebuilt (warm-started) whenever a control action
-//! actually moves the pressure — and reused, internal state and all, when
-//! the controller holds it (e.g. clamped at a bound).
+//! only when the workload requires it.
+//!
+//! [`simulate_adaptive_flow`] is a thin front end to the scenario engine:
+//! each phase start becomes a [`EventAction::PowerScale`] event of a
+//! [`ScenarioSpec`], and [`run_scenario`] does the stepping — one time
+//! loop for both, so a trace and the equivalent scenario produce the same
+//! bits.
 
 use crate::evaluate::ModelChoice;
+use crate::scenario::{
+    run_scenario, EventAction, ScenarioError, ScenarioEvent, ScenarioSpec, ScenarioTrace,
+};
 use coolnet_cases::Benchmark;
 use coolnet_network::CoolingNetwork;
-use coolnet_obs::LazyCounter;
-use coolnet_thermal::{FourRm, ThermalConfig, ThermalError, TwoRm};
-use coolnet_units::{Kelvin, Pascal, Watt};
+use coolnet_thermal::ThermalConfig;
+use coolnet_units::{Kelvin, Pascal};
 use serde::{Deserialize, Serialize};
-
-/// Completed or attempted [`simulate_adaptive_flow`] runs.
-static M_RUNS: LazyCounter = LazyCounter::new("runtime.runs");
-/// Control intervals simulated.
-static M_CONTROL_STEPS: LazyCounter = LazyCounter::new("runtime.control_steps");
-/// Transient-integrator rebuilds (full triplet reassembly + ILU(0)); a
-/// clamped-pressure run should rebuild once, not once per control step.
-static M_INTEGRATOR_REBUILDS: LazyCounter = LazyCounter::new("runtime.integrator_rebuilds");
 
 /// A piecewise-constant die-power schedule: `(duration_s, power_scale)`
 /// phases applied to the benchmark's nominal power maps.
@@ -65,18 +61,21 @@ impl PowerTrace {
         self.phases.iter().map(|(d, _)| d).sum()
     }
 
-    /// The power scale active at time `t` (last phase extends forever).
-    /// A phaseless trace — constructible via deserialization even though
-    /// [`PowerTrace::new`] rejects it — reads as nominal power.
-    pub fn scale_at(&self, t: f64) -> f64 {
-        let mut acc = 0.0;
-        for &(d, s) in &self.phases {
-            acc += d;
-            if t < acc {
-                return s;
-            }
-        }
-        self.phases.last().map_or(1.0, |&(_, s)| s)
+    /// One power-scale event per phase, at the phase start (the running
+    /// sum of the durations before it). The last phase holds to the end.
+    fn events(&self) -> Vec<ScenarioEvent> {
+        let mut start = 0.0;
+        self.phases
+            .iter()
+            .map(|&(d, scale)| {
+                let at = start;
+                start += d;
+                ScenarioEvent {
+                    at,
+                    action: EventAction::PowerScale { scale },
+                }
+            })
+            .collect()
     }
 }
 
@@ -100,31 +99,6 @@ impl FlowController {
         let p = current.value() + self.gain * error;
         Pascal::new(p.clamp(self.p_min.value(), self.p_max.value()))
     }
-}
-
-/// One sample of a run-time simulation.
-///
-/// All interval-scoped fields (`time`, `power_scale`, `p_sys`, `w_pump`)
-/// refer to the *start* of the control interval, so a sample pairs each
-/// quantity with the phase that was actually active while it applied;
-/// only `t_max` is measured at the interval's end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RuntimeSample {
-    /// Simulation time in seconds at the start of the interval.
-    pub time: f64,
-    /// Die-power scale active during the interval (sampled at `time`).
-    pub power_scale: f64,
-    /// Pump pressure during this interval.
-    pub p_sys: Pascal,
-    /// Peak temperature at the end of the interval.
-    pub t_max: Kelvin,
-    /// Pumping power during this interval.
-    pub w_pump: Watt,
-    /// Actual simulated length of this interval in seconds. Equal to
-    /// `dt · control_interval` except for the final interval of a trace
-    /// whose duration is not an exact multiple, which is clamped to the
-    /// trace remainder.
-    pub interval_s: f64,
 }
 
 /// Options of a run-time simulation.
@@ -157,246 +131,44 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// The thermal plant behind a run-time simulation — shared with the
-/// scenario engine ([`crate::scenario`]), which drives the same transient
-/// integrators under richer event schedules.
-pub(crate) enum Plant {
-    Two(TwoRm),
-    Four(FourRm),
-}
-
-impl Plant {
-    /// Builds the plant for `stack` under the chosen thermal model.
-    pub(crate) fn new(
-        stack: &coolnet_thermal::Stack,
-        model: ModelChoice,
-        config: &ThermalConfig,
-    ) -> Result<Self, ThermalError> {
-        Ok(match model {
-            ModelChoice::TwoRm { m } => Plant::Two(TwoRm::new(stack, m, config)?),
-            ModelChoice::FourRm => Plant::Four(FourRm::new(stack, config)?),
-        })
-    }
-
-    /// Builds a transient integrator at pressure `p` — a full triplet
-    /// reassembly plus an ILU(0) factorization, the expensive part of a
-    /// control action.
-    pub(crate) fn integrator(
-        &self,
-        p: Pascal,
-        dt: f64,
-        initial: Option<&coolnet_thermal::ThermalSolution>,
-    ) -> Result<coolnet_thermal::transient::Transient<'_>, ThermalError> {
-        M_INTEGRATOR_REBUILDS.inc();
-        match self {
-            Plant::Two(s) => s.transient(p, dt, initial),
-            Plant::Four(s) => s.transient(p, dt, initial),
-        }
-    }
-}
-
-/// Number of integrator steps covering `duration`.
-///
-/// The naive `(duration / dt).ceil()` is float-sensitive: an exact-ratio
-/// trace like `duration = 0.1, dt = 1e-3` evaluates to
-/// `100.00000000000001` and would simulate a spurious extra step. Ratios
-/// within a relative epsilon of an integer snap to `round()`; genuine
-/// partial steps still `ceil()`.
-pub(crate) fn sim_steps(duration: f64, dt: f64) -> usize {
-    let ratio = duration / dt;
-    let rounded = ratio.round();
-    let steps = if (ratio - rounded).abs() < 1e-9 * rounded.max(1.0) {
-        rounded
-    } else {
-        ratio.ceil()
-    };
-    steps as usize
-}
-
-/// Number of control intervals covering `duration` (the last one may be
-/// partial; the run loop clamps it to the trace remainder).
-pub(crate) fn control_steps(duration: f64, dt: f64, control_interval: usize) -> usize {
-    sim_steps(duration, dt).div_ceil(control_interval)
-}
-
-/// A run-time simulation failure, carrying where in the trace it happened
-/// and every sample collected before the fault.
-#[derive(Debug, Clone)]
-pub struct RuntimeError {
-    /// Control step at which the simulation failed (0-based; setup errors
-    /// before the first step report step 0).
-    pub step: usize,
-    /// Simulated time in seconds at the start of the failing interval.
-    pub time: f64,
-    /// Pump pressure active when the failure occurred.
-    pub p_sys: Pascal,
-    /// Samples collected before the failure — the partial trace survives
-    /// the error so callers can analyze or resume the run.
-    pub samples: Vec<RuntimeSample>,
-    /// The underlying thermal failure.
-    pub source: ThermalError,
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "run-time simulation failed at control step {} (t = {:.6} s, P_sys = {:.1} Pa, \
-             {} samples collected): {}",
-            self.step,
-            self.time,
-            self.p_sys.value(),
-            self.samples.len(),
-            self.source
-        )
-    }
-}
-
-impl std::error::Error for RuntimeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
 /// Simulates closed-loop run-time thermal management of one cooling
-/// system under a dynamic power trace. Returns one sample per control
-/// interval.
+/// system under a dynamic power trace. Returns one interval per control
+/// step; a phase takes effect at the first control boundary at or after
+/// its start, like every [`ScenarioEvent`].
 ///
 /// # Errors
 ///
-/// Stack-building and simulation errors are wrapped in a [`RuntimeError`]
-/// that records the failing control step, simulated time, active pressure,
-/// and the samples collected up to the fault.
+/// [`ScenarioError::Spec`] for options or a controller the scenario
+/// engine rejects (e.g. a zero control interval or a non-finite time
+/// step); [`ScenarioError::Run`] — carrying the failing control step,
+/// simulated time, active pressure and the intervals completed before the
+/// fault — if stack building or a solve fails.
 pub fn simulate_adaptive_flow(
     bench: &Benchmark,
     network: &CoolingNetwork,
     trace: &PowerTrace,
     controller: &FlowController,
     opts: &RuntimeOptions,
-) -> Result<Vec<RuntimeSample>, RuntimeError> {
-    // Context for wrapping a mid-trace failure without losing the samples.
-    struct Ctx {
-        step: usize,
-        time: f64,
-        p: Pascal,
-        samples: Vec<RuntimeSample>,
-    }
-    let fail = |ctx: Ctx, source: ThermalError| RuntimeError {
-        step: ctx.step,
-        time: ctx.time,
-        p_sys: ctx.p,
-        samples: ctx.samples,
-        source,
+) -> Result<ScenarioTrace, ScenarioError> {
+    let spec = ScenarioSpec {
+        name: "adaptive-flow".to_owned(),
+        duration: trace.duration(),
+        dt: opts.dt,
+        control_interval: opts.control_interval,
+        model: opts.model,
+        controller: *controller,
+        p_initial: opts.p_initial,
+        events: trace.events(),
     };
-    let mut ctx = Ctx {
-        step: 0,
-        time: 0.0,
-        p: opts.p_initial,
-        samples: Vec::new(),
-    };
-
-    let stack = match bench.stack_with(std::slice::from_ref(network)) {
-        Ok(s) => s,
-        Err(e) => return Err(fail(ctx, e)),
-    };
-    let config = opts.thermal.clone();
-    let plant = match Plant::new(&stack, opts.model, &config) {
-        Ok(p) => p,
-        Err(e) => return Err(fail(ctx, e)),
-    };
-    // W_pump via the hydraulic model.
-    let flow_cfg = crate::evaluate::Evaluator::flow_config_for(bench);
-    let flow = match coolnet_flow::FlowModel::new(network, &flow_cfg) {
-        Ok(m) => m,
-        Err(e) => return Err(fail(ctx, e.into())),
-    };
-
-    M_RUNS.inc();
-    let mut snapshot: Option<coolnet_thermal::ThermalSolution> = None;
-    let total_sim_steps = sim_steps(trace.duration(), opts.dt);
-    let steps_total = control_steps(trace.duration(), opts.dt, opts.control_interval);
-
-    // The integrator persists across control steps and is rebuilt only
-    // when the controller actually moves the pressure (the advection
-    // operator depends on it); a clamped controller reuses it — internal
-    // temperature state and all — for the whole trace.
-    let mut tr = match plant.integrator(ctx.p, opts.dt, None) {
-        Ok(tr) => tr,
-        Err(e) => return Err(fail(ctx, e)),
-    };
-    let mut built_p = ctx.p;
-    let mut steps_done = 0usize;
-
-    for step in 0..steps_total {
-        ctx.step = step;
-        M_CONTROL_STEPS.inc();
-        let t_start = ctx.time;
-        let scale = trace.scale_at(t_start);
-        let p = ctx.p;
-        if p != built_p {
-            // Warm-start the new operator from the latest field, keeping
-            // the sticky rung hint: a pressure change rebuilds the
-            // operator, not the difficulty of the solves, so the learned
-            // rung must survive the rebuild.
-            let hint = tr.take_hint();
-            tr = match plant.integrator(p, opts.dt, snapshot.as_ref()) {
-                Ok(tr) => tr,
-                Err(e) => return Err(fail(ctx, e)),
-            };
-            tr.restore_hint(hint);
-            built_p = p;
-        }
-        tr.set_power_scale(scale);
-        // The final interval of a non-exact-ratio trace is clamped to the
-        // remainder: a 0.105 s trace simulates 105 steps, not 110.
-        let steps_this = opts.control_interval.min(total_sim_steps - steps_done);
-        if let Err(e) = tr.run(steps_this) {
-            return Err(fail(ctx, e));
-        }
-        steps_done += steps_this;
-        let interval_s = opts.dt * steps_this as f64;
-        ctx.time = t_start + interval_s;
-        let snap = tr.snapshot();
-        let t_max = snap.max_temperature();
-        ctx.samples.push(RuntimeSample {
-            time: t_start,
-            power_scale: scale,
-            p_sys: p,
-            t_max,
-            w_pump: flow.pumping_power(p),
-            interval_s,
-        });
-        ctx.p = controller.update(p, t_max);
-        snapshot = Some(snap);
-    }
-    Ok(ctx.samples)
-}
-
-/// Total pumping energy of a sampled run: piecewise-constant pumping
-/// power over each sample's actual simulated interval (the final interval
-/// of a non-exact-ratio trace is shorter than the rest).
-pub fn pumping_energy(samples: &[RuntimeSample]) -> f64 {
-    samples
-        .iter()
-        .map(|s| s.w_pump.value() * s.interval_s)
-        .sum()
+    run_scenario(bench, network, &spec, &opts.thermal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::tests::metrics_lock;
     use coolnet_grid::{tsv, Dir, GridDims};
     use coolnet_network::builders::straight::{self, StraightParams};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes every test that drives `simulate_adaptive_flow`: the
-    /// runtime metrics are process-global, so concurrent runs would bleed
-    /// into each other's snapshot deltas.
-    static METRICS: Mutex<()> = Mutex::new(());
-
-    fn metrics_lock() -> MutexGuard<'static, ()> {
-        coolnet_obs::sync::lock_recover(&METRICS)
-    }
 
     fn setup() -> (Benchmark, CoolingNetwork) {
         let dims = GridDims::new(15, 15);
@@ -411,12 +183,33 @@ mod tests {
         (bench, net)
     }
 
+    fn adaptive() -> FlowController {
+        FlowController {
+            target: Kelvin::new(310.0),
+            gain: 800.0,
+            p_min: Pascal::from_kilopascals(0.5),
+            p_max: Pascal::from_kilopascals(10.0),
+        }
+    }
+
+    fn at_10_kpa() -> RuntimeOptions {
+        RuntimeOptions {
+            dt: 1e-3,
+            control_interval: 10,
+            p_initial: Pascal::from_kilopascals(10.0),
+            ..RuntimeOptions::default()
+        }
+    }
+
     #[test]
-    fn trace_lookup_is_piecewise_constant() {
+    fn trace_phases_become_power_scale_events() {
         let t = PowerTrace::new(vec![(1.0, 1.0), (2.0, 0.3)]);
-        assert_eq!(t.scale_at(0.5), 1.0);
-        assert_eq!(t.scale_at(1.5), 0.3);
-        assert_eq!(t.scale_at(10.0), 0.3); // last phase extends
+        let events = t.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].at, 0.0);
+        assert_eq!(events[0].action, EventAction::PowerScale { scale: 1.0 });
+        assert_eq!(events[1].at, 1.0);
+        assert_eq!(events[1].action, EventAction::PowerScale { scale: 0.3 });
         assert_eq!(t.duration(), 3.0);
     }
 
@@ -458,7 +251,9 @@ mod tests {
                 p_min: Pascal::from_kilopascals(0.5),
                 p_max: Pascal::from_kilopascals(60.0),
             };
-            simulate_adaptive_flow(&bench, &net, &trace, &controller, &opts).unwrap()
+            simulate_adaptive_flow(&bench, &net, &trace, &controller, &opts)
+                .unwrap()
+                .intervals
         };
         // Always too hot relative to a 300.5 K target: pressure must rise.
         let hot = run(300.5);
@@ -478,33 +273,97 @@ mod tests {
         let _guard = metrics_lock();
         let (bench, net) = setup();
         let trace = PowerTrace::new(vec![(0.05, 1.0), (0.05, 0.1)]);
-        let opts = RuntimeOptions {
-            dt: 1e-3,
-            control_interval: 10,
-            p_initial: Pascal::from_kilopascals(10.0),
-            ..RuntimeOptions::default()
-        };
+        let opts = at_10_kpa();
         let fixed = FlowController {
             target: Kelvin::new(310.0),
             gain: 0.0,
             p_min: Pascal::from_kilopascals(10.0),
             p_max: Pascal::from_kilopascals(10.0),
         };
-        let adaptive = FlowController {
-            target: Kelvin::new(310.0),
-            gain: 800.0,
-            p_min: Pascal::from_kilopascals(0.5),
-            p_max: Pascal::from_kilopascals(10.0),
+        let energy = |c: &FlowController| {
+            simulate_adaptive_flow(&bench, &net, &trace, c, &opts)
+                .unwrap()
+                .pumping_energy()
         };
-        let e_fixed =
-            pumping_energy(&simulate_adaptive_flow(&bench, &net, &trace, &fixed, &opts).unwrap());
-        let e_adaptive = pumping_energy(
-            &simulate_adaptive_flow(&bench, &net, &trace, &adaptive, &opts).unwrap(),
-        );
+        let (e_fixed, e_adaptive) = (energy(&fixed), energy(&adaptive()));
         assert!(
             e_adaptive < e_fixed,
             "adaptive {e_adaptive} !< fixed {e_fixed}"
         );
+    }
+
+    #[test]
+    fn moving_controller_trace_is_pinned_bitwise() {
+        // Digest of every interval's time, length, power scale, pressure,
+        // T_max and W_pump bits, recorded from the dedicated run-time loop
+        // this function replaced, on a trace whose phase boundary both
+        // loops read the same way. The pressure moves 10 -> 4.58 -> 0.5
+        // kPa, so the run rebuilds its integrator twice.
+        let _guard = metrics_lock();
+        let (bench, net) = setup();
+        let trace = PowerTrace::new(vec![(0.05, 1.0), (0.05, 0.1)]);
+        let run = simulate_adaptive_flow(&bench, &net, &trace, &adaptive(), &at_10_kpa()).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for s in &run.intervals {
+            for bits in [
+                s.time.to_bits(),
+                s.interval_s.to_bits(),
+                s.power_scale.to_bits(),
+                s.p_sys.value().to_bits(),
+                s.t_max.value().to_bits(),
+                s.w_pump.value().to_bits(),
+            ] {
+                for b in bits.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(run.intervals.len(), 10);
+        assert_eq!(h, 0x34e5_7092_420e_066c);
+        assert_eq!(run.pumping_energy().to_bits(), 0x3f12_9fed_b650_0174);
+    }
+
+    #[test]
+    fn dvfs_phases_switch_on_the_control_boundary() {
+        // Regression: the run-time loop compared its accumulated interval
+        // start with an accumulated phase end, so at 1 ms x 10 steps
+        // interval 10 (t = 0.09999999999999999 < 0.1) still read the low
+        // phase and interval 15 (t = 0.15 < 0.15000000000000002) the high
+        // one. Phase starts are control boundaries up to an epsilon.
+        let _guard = metrics_lock();
+        let (bench, net) = setup();
+        let trace = PowerTrace::dvfs_square(0.05, 1.0, 0.2);
+        let run = simulate_adaptive_flow(&bench, &net, &trace, &adaptive(), &at_10_kpa()).unwrap();
+        let scales: Vec<f64> = run.intervals.iter().map(|s| s.power_scale).collect();
+        assert_eq!(scales.len(), 20);
+        for (k, &s) in scales.iter().enumerate() {
+            let want = if (k / 5) % 2 == 0 { 1.0 } else { 0.2 };
+            assert_eq!(s, want, "interval {k}: {scales:?}");
+        }
+        assert_eq!((scales[10], scales[15]), (1.0, 0.2));
+    }
+
+    #[test]
+    fn bad_run_time_options_are_typed_errors() {
+        // Previously a zero control interval panicked dividing by zero and
+        // a NaN time step returned an empty, valid-looking trace.
+        let (bench, net) = setup();
+        let trace = PowerTrace::new(vec![(0.05, 1.0)]);
+        for opts in [
+            RuntimeOptions {
+                control_interval: 0,
+                ..RuntimeOptions::default()
+            },
+            RuntimeOptions {
+                dt: f64::NAN,
+                ..RuntimeOptions::default()
+            },
+        ] {
+            match simulate_adaptive_flow(&bench, &net, &trace, &adaptive(), &opts) {
+                Err(ScenarioError::Spec { .. }) => {}
+                other => panic!("{opts:?}: want a spec error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -514,44 +373,22 @@ mod tests {
     }
 
     #[test]
-    fn exact_ratio_traces_have_no_spurious_interval() {
-        // 0.1 / (1e-3 · 10) = 10.000000000000002 in f64: the naive ceil()
-        // simulated an 11th interval. Exact ratios must snap.
-        assert_eq!(control_steps(0.1, 1e-3, 10), 10);
-        assert_eq!(control_steps(0.2, 1e-3, 10), 20);
-        assert_eq!(control_steps(0.3, 1e-3, 10), 30);
-        assert_eq!(control_steps(0.6, 2e-3, 30), 10);
-        // Genuine partial intervals still round up.
-        assert_eq!(control_steps(0.105, 1e-3, 10), 11);
-        assert_eq!(control_steps(0.001, 1e-3, 10), 1);
-        // Step-level accounting behind them.
-        assert_eq!(sim_steps(0.105, 1e-3), 105);
-        assert_eq!(sim_steps(0.1, 1e-3), 100);
-        assert_eq!(sim_steps(0.0015, 1e-3), 2);
-    }
-
-    #[test]
     fn partial_final_interval_is_clamped_to_the_trace_remainder() {
         // Regression for the trace-end overrun: a 0.105 s trace used to
-        // simulate 11 full intervals = 0.110 s, and `pumping_energy`
+        // simulate 11 full intervals = 0.110 s, and the pumping energy
         // charged a full 0.010 s for the 0.005 s remainder. Post-fix the
         // final interval runs exactly the 5 remaining steps.
         let _guard = metrics_lock();
         let (bench, net) = setup();
         let trace = PowerTrace::new(vec![(0.105, 1.0)]);
-        let opts = RuntimeOptions {
-            dt: 1e-3,
-            control_interval: 10,
-            p_initial: Pascal::from_kilopascals(10.0),
-            ..RuntimeOptions::default()
-        };
         let clamped = FlowController {
             target: Kelvin::new(320.0),
             gain: 0.0,
             p_min: Pascal::from_kilopascals(10.0),
             p_max: Pascal::from_kilopascals(10.0),
         };
-        let samples = simulate_adaptive_flow(&bench, &net, &trace, &clamped, &opts).unwrap();
+        let run = simulate_adaptive_flow(&bench, &net, &trace, &clamped, &at_10_kpa()).unwrap();
+        let samples = &run.intervals;
         assert_eq!(samples.len(), 11);
         for s in &samples[..10] {
             assert!((s.interval_s - 0.010).abs() < 1e-12, "{s:?}");
@@ -567,77 +404,11 @@ mod tests {
         let simulated: f64 = samples.iter().map(|s| s.interval_s).sum();
         assert!((simulated - 0.105).abs() < 1e-12);
         let w = samples[0].w_pump.value();
-        let energy = pumping_energy(&samples);
+        let energy = run.pumping_energy();
         assert!(
             (energy - w * 0.105).abs() < 1e-9 * w.max(1.0),
             "energy {energy} != w_pump x duration {}",
             w * 0.105
-        );
-    }
-
-    #[test]
-    fn ladder_hint_survives_integrator_rebuilds() {
-        // Regression for the hint-loss bug: `Plant::integrator` built a
-        // fresh `Transient` (and with it a fresh `LadderHint`) on every
-        // pressure change, so a moving controller re-paid the full
-        // escalation cascade each interval. With a deliberately broken
-        // rung 0 (1-iteration budget) every solve escalates to rung 1;
-        // once hinted, later solves must *start* there — across rebuilds.
-        // Pre-fix: `ladder.hinted_solves` delta stayed 0 on a moving run
-        // and every interval's first solve burned rung 0 again.
-        use coolnet_sparse::resilience::{PrecondSpec, Rung, SolverKind};
-
-        let _guard = metrics_lock();
-        let (bench, net) = setup();
-        let trace = PowerTrace::new(vec![(0.05, 1.0)]);
-        let mut thermal = ThermalConfig::default();
-        // Rung 0 cannot converge in one iteration; rung 1 keeps the
-        // normal budget. Every solve therefore escalates 0 -> 1 until the
-        // hint pins the start at rung 1.
-        thermal.ladder.rungs[0] = Rung {
-            solver: SolverKind::Bicgstab,
-            precond: PrecondSpec::Identity,
-            tolerance_factor: 1.0,
-            iteration_factor: 1e-9,
-        };
-        let opts = RuntimeOptions {
-            dt: 1e-3,
-            // One step per interval: the controller moves the pressure
-            // before every solve, forcing a rebuild per interval.
-            control_interval: 1,
-            p_initial: Pascal::from_kilopascals(5.0),
-            thermal,
-            ..RuntimeOptions::default()
-        };
-        // A low gain keeps the pressure rising a few hundred pascals per
-        // step for the whole trace without ever clamping at a bound, so
-        // every interval rebuilds the integrator.
-        let hot = FlowController {
-            target: Kelvin::new(300.5),
-            gain: 20.0,
-            p_min: Pascal::from_kilopascals(0.5),
-            p_max: Pascal::from_kilopascals(60.0),
-        };
-        let before = coolnet_obs::snapshot();
-        let samples = simulate_adaptive_flow(&bench, &net, &trace, &hot, &opts).unwrap();
-        let after = coolnet_obs::snapshot();
-        assert_eq!(samples.len(), 50);
-        let rebuilds = after.counter_delta(&before, "runtime.integrator_rebuilds");
-        assert!(
-            rebuilds >= 45,
-            "need a rebuild per interval, got {rebuilds}"
-        );
-        // Most of the 50 solves must start on the carried hint; only the
-        // cold first solve and the periodic decay re-probes (every
-        // DEFAULT_HINT_DECAY hinted successes) escalate from rung 0. The
-        // threshold tolerates concurrent tests in this binary inflating
-        // the process-global ladder counters — they can only add hinted
-        // solves, never remove them, and pre-fix this run contributed 0.
-        let hinted = after.counter_delta(&before, "ladder.hinted_solves");
-        assert!(
-            hinted >= 20,
-            "only {hinted} hinted solves across {rebuilds} rebuilds \
-             (pre-fix behavior: 0 — the hint died with every rebuild)"
         );
     }
 
@@ -650,12 +421,7 @@ mod tests {
         let _guard = metrics_lock();
         let (bench, net) = setup();
         let trace = PowerTrace::new(vec![(0.1, 1.0)]);
-        let opts = RuntimeOptions {
-            dt: 1e-3,
-            control_interval: 10,
-            p_initial: Pascal::from_kilopascals(10.0),
-            ..RuntimeOptions::default()
-        };
+        let opts = at_10_kpa();
         let clamped = FlowController {
             target: Kelvin::new(320.0),
             gain: 0.0,
@@ -663,20 +429,21 @@ mod tests {
             p_max: Pascal::from_kilopascals(10.0),
         };
         let before = coolnet_obs::snapshot();
-        let samples = simulate_adaptive_flow(&bench, &net, &trace, &clamped, &opts).unwrap();
+        let run = simulate_adaptive_flow(&bench, &net, &trace, &clamped, &opts).unwrap();
         let after = coolnet_obs::snapshot();
 
         // Exact-ratio trace: exactly 10 intervals, no spurious 11th.
-        assert_eq!(samples.len(), 10);
+        assert_eq!(run.intervals.len(), 10);
         let rebuilds = after.counter_delta(&before, "runtime.integrator_rebuilds");
-        assert!(rebuilds <= 2, "clamped run rebuilt {rebuilds} times");
-        assert_eq!(rebuilds, 1);
+        assert_eq!(rebuilds, 1, "clamped run rebuilt {rebuilds} times");
         assert_eq!(after.counter_delta(&before, "runtime.control_steps"), 10);
-        assert_eq!(after.counter_delta(&before, "runtime.runs"), 1);
+        assert_eq!(after.counter_delta(&before, "scenario.runs"), 1);
+        // The single phase is one event, applied at t = 0.
+        assert_eq!(after.counter_delta(&before, "scenario.events_applied"), 1);
 
         // Interval-start timestamps: first sample at t = 0, fixed spacing.
         let interval = opts.dt * opts.control_interval as f64;
-        for (i, s) in samples.iter().enumerate() {
+        for (i, s) in run.intervals.iter().enumerate() {
             assert!((s.time - i as f64 * interval).abs() < 1e-12, "{s:?}");
             assert_eq!(s.power_scale, 1.0);
         }
@@ -702,13 +469,17 @@ mod tests {
             p_max: Pascal::from_kilopascals(60.0),
         };
         let before = coolnet_obs::snapshot();
-        let samples = simulate_adaptive_flow(&bench, &net, &trace, &hot, &opts).unwrap();
+        let run = simulate_adaptive_flow(&bench, &net, &trace, &hot, &opts).unwrap();
         let after = coolnet_obs::snapshot();
-        let changes = samples
+        let changes = run
+            .intervals
             .windows(2)
             .filter(|w| w[0].p_sys != w[1].p_sys)
             .count() as u64;
+        assert!(changes > 0, "the controller never moved the pressure");
         let rebuilds = after.counter_delta(&before, "runtime.integrator_rebuilds");
-        assert_eq!(rebuilds, 1 + changes, "{samples:#?}");
+        assert_eq!(rebuilds, 1 + changes, "{:#?}", run.intervals);
+        assert_eq!(after.counter_delta(&before, "runtime.control_steps"), 5);
+        assert_eq!(after.counter_delta(&before, "scenario.runs"), 1);
     }
 }

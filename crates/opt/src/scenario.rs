@@ -1,8 +1,9 @@
 //! Dynamic-scenario engine: declarative timed-event schedules driven
 //! through the transient thermal plant.
 //!
-//! [`runtime`](crate::runtime) answers "what does closed-loop flow control
-//! do under a power *scale* trace?". Real dynamic studies need more: the
+//! [`runtime`](crate::runtime) asks "what does closed-loop flow control
+//! do under a power *scale* trace?" — and answers it through this engine,
+//! one power-scale event per trace phase. Real dynamic studies need more: the
 //! hotspot *moves* (thread migration, core sleep/boost), the pump *fails*
 //! and recovers, the coolant supply *drifts*. A [`ScenarioSpec`] captures
 //! such a study declaratively — a name, a duration, a controller and a
@@ -13,11 +14,9 @@
 //! returns a scored [`ScenarioTrace`]: per control interval, `T_max`, the
 //! §3 gradient `ΔT`, the pumping power, and the per-die
 //! max-spatial-gradient thermal-stress proxy
-//! ([`ThermalSolution::stress_proxy`]). The runner reuses the
-//! [`runtime`](crate::runtime) plant machinery — integrators persist
-//! across intervals, rebuild only on pressure changes, and carry their
-//! sticky ladder hint across rebuilds — and applies power-map and
-//! inlet-temperature events through the cheap RHS-refresh hooks
+//! ([`ThermalSolution::stress_proxy`]). Integrators persist across
+//! intervals and rebuild only on pressure changes; power-map and
+//! inlet-temperature events go through the cheap RHS-refresh hooks
 //! ([`Transient::set_power_map`], [`Transient::set_inlet_temperature`]),
 //! never paying a reassembly for them.
 //!
@@ -31,12 +30,15 @@
 //! [`ThermalSolution::stress_proxy`]: coolnet_thermal::ThermalSolution::stress_proxy
 
 use crate::evaluate::ModelChoice;
-use crate::runtime::{control_steps, sim_steps, FlowController, Plant};
+use crate::runtime::FlowController;
 use coolnet_cases::{floorplan, Benchmark};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
-use coolnet_thermal::{PowerMap, ThermalConfig, ThermalError, ThermalSolution};
+use coolnet_thermal::transient::Transient;
+use coolnet_thermal::{
+    FourRm, PowerMap, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm,
+};
 use coolnet_units::{Kelvin, Pascal, Watt};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -47,6 +49,72 @@ static M_RUNS: LazyCounter = LazyCounter::new("scenario.runs");
 static M_EVENTS: LazyCounter = LazyCounter::new("scenario.events_applied");
 /// Control intervals simulated under a forced-pressure episode.
 static M_FORCED: LazyCounter = LazyCounter::new("scenario.forced_intervals");
+/// Control intervals simulated (over all runs). This and the rebuild
+/// counter keep the `runtime.` names the benchmark and dashboards read.
+static M_CONTROL_STEPS: LazyCounter = LazyCounter::new("runtime.control_steps");
+/// Transient-integrator rebuilds (full triplet reassembly + ILU(0)); a
+/// clamped-pressure run should rebuild once, not once per control step.
+static M_INTEGRATOR_REBUILDS: LazyCounter = LazyCounter::new("runtime.integrator_rebuilds");
+
+/// The transient thermal plant a scenario drives.
+enum Plant {
+    Two(TwoRm),
+    Four(FourRm),
+}
+
+impl Plant {
+    /// Builds the plant for `stack` under the chosen thermal model.
+    fn new(
+        stack: &Stack,
+        model: ModelChoice,
+        config: &ThermalConfig,
+    ) -> Result<Self, ThermalError> {
+        Ok(match model {
+            ModelChoice::TwoRm { m } => Plant::Two(TwoRm::new(stack, m, config)?),
+            ModelChoice::FourRm => Plant::Four(FourRm::new(stack, config)?),
+        })
+    }
+
+    /// Builds a transient integrator at pressure `p` — a full triplet
+    /// reassembly plus an ILU(0) factorization, the expensive part of a
+    /// control action.
+    fn integrator(
+        &self,
+        p: Pascal,
+        dt: f64,
+        initial: Option<&ThermalSolution>,
+    ) -> Result<Transient<'_>, ThermalError> {
+        M_INTEGRATOR_REBUILDS.inc();
+        match self {
+            Plant::Two(s) => s.transient(p, dt, initial),
+            Plant::Four(s) => s.transient(p, dt, initial),
+        }
+    }
+}
+
+/// Number of integrator steps covering `duration`.
+///
+/// The naive `(duration / dt).ceil()` is float-sensitive: an exact-ratio
+/// horizon like `duration = 0.1, dt = 1e-3` evaluates to
+/// `100.00000000000001` and would simulate a spurious extra step. Ratios
+/// within a relative epsilon of an integer snap to `round()`; genuine
+/// partial steps still `ceil()`.
+fn sim_steps(duration: f64, dt: f64) -> usize {
+    let ratio = duration / dt;
+    let rounded = ratio.round();
+    let steps = if (ratio - rounded).abs() < 1e-9 * rounded.max(1.0) {
+        rounded
+    } else {
+        ratio.ceil()
+    };
+    steps as usize
+}
+
+/// Number of control intervals covering `duration` (the last one may be
+/// partial; the run loop clamps it to the horizon remainder).
+fn control_steps(duration: f64, dt: f64, control_interval: usize) -> usize {
+    sim_steps(duration, dt).div_ceil(control_interval)
+}
 
 /// What a [`ScenarioEvent`] does when it fires.
 ///
@@ -629,7 +697,7 @@ pub fn run_scenario(
 
     // Integrators persist across intervals and rebuild only on pressure
     // changes (the advection operator depends on `P_sys`), warm-started
-    // from the latest field with the sticky ladder hint carried over.
+    // from the latest field.
     // Built eagerly at `p_initial`; a t = 0 forced-pressure event simply
     // triggers an immediate rebuild before any step runs.
     let mut tr = match plant.integrator(spec.p_initial, spec.dt, None) {
@@ -641,6 +709,7 @@ pub fn run_scenario(
 
     for step in 0..steps_total {
         ctx.step = step;
+        M_CONTROL_STEPS.inc();
         let t_start = ctx.time;
 
         // Fire every event whose requested time is at or before this
@@ -674,14 +743,11 @@ pub fn run_scenario(
         }
 
         if built_p != p {
-            // Warm-start the new operator from the latest field, keeping
-            // the sticky rung hint across the rebuild.
-            let hint = tr.take_hint();
+            // Warm-start the new operator from the latest field.
             tr = match plant.integrator(p, spec.dt, snapshot.as_ref()) {
                 Ok(t) => t,
                 Err(e) => return Err(fail(ctx, e)),
             };
-            tr.restore_hint(hint);
             built_p = p;
         }
 
@@ -695,7 +761,7 @@ pub fn run_scenario(
         tr.set_power_scale(scale);
 
         // The final interval of a non-exact-ratio horizon is clamped to
-        // the remainder, exactly as in `simulate_adaptive_flow`.
+        // the remainder: a 0.105 s horizon simulates 105 steps, not 110.
         let steps_this = spec.control_interval.min(total_sim_steps - steps_done);
         if let Err(e) = tr.run(steps_this) {
             return Err(fail(ctx, e));
@@ -729,16 +795,17 @@ pub fn run_scenario(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use coolnet_grid::{tsv, Dir};
     use coolnet_network::builders::straight::{self, StraightParams};
     use std::sync::{Mutex, MutexGuard};
 
-    /// Serializes scenario runs: the counters are process-global.
+    /// Serializes scenario runs, including the run-time front end's: the
+    /// counters are process-global.
     static METRICS: Mutex<()> = Mutex::new(());
 
-    fn metrics_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn metrics_lock() -> MutexGuard<'static, ()> {
         coolnet_obs::sync::lock_recover(&METRICS)
     }
 
@@ -792,6 +859,23 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds.len(), 5);
+    }
+
+    #[test]
+    fn exact_ratio_traces_have_no_spurious_interval() {
+        // 0.1 / (1e-3 · 10) = 10.000000000000002 in f64: the naive ceil()
+        // simulated an 11th interval. Exact ratios must snap.
+        assert_eq!(control_steps(0.1, 1e-3, 10), 10);
+        assert_eq!(control_steps(0.2, 1e-3, 10), 20);
+        assert_eq!(control_steps(0.3, 1e-3, 10), 30);
+        assert_eq!(control_steps(0.6, 2e-3, 30), 10);
+        // Genuine partial intervals still round up.
+        assert_eq!(control_steps(0.105, 1e-3, 10), 11);
+        assert_eq!(control_steps(0.001, 1e-3, 10), 1);
+        // Step-level accounting behind them.
+        assert_eq!(sim_steps(0.105, 1e-3), 105);
+        assert_eq!(sim_steps(0.1, 1e-3), 100);
+        assert_eq!(sim_steps(0.0015, 1e-3), 2);
     }
 
     #[test]

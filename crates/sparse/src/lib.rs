@@ -18,9 +18,11 @@
 //! * preconditioners: [`precond::Identity`], [`precond::Jacobi`],
 //!   [`precond::Ilu0`];
 //! * [`SolveLadder`] — the escalation ladder the physical models solve
-//!   through (rungs of solver × preconditioner × budget, tried in order,
-//!   with a [`SolveReport`] of every attempt), plus a deterministic
-//!   fault-injection harness (`resilience::fault`, test/feature gated).
+//!   through (rungs of solver × preconditioner, tried in order behind a
+//!   diagnostics gate that routes numerically singular systems to the
+//!   dense rung, with a [`SolveReport`] of every attempt), plus a
+//!   deterministic fault-injection harness (`resilience::fault`,
+//!   test/feature gated).
 //!
 //! # Examples
 //!
@@ -65,8 +67,5 @@ pub mod solve;
 pub use coo::TripletBuilder;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use resilience::{
-    DiagnosticsGate, LadderError, LadderHint, LadderSolution, MatrixDiagnostics, SolveLadder,
-    SolveReport,
-};
+pub use resilience::{LadderError, LadderSolution, MatrixDiagnostics, SolveLadder, SolveReport};
 pub use solve::{Solution, SolveError, SolveStats, SolverOptions};

@@ -6,9 +6,9 @@
 //! ill-conditioned candidate must cost one infeasible score, not a dead
 //! process or a wedged run. [`SolveLadder`] provides that guarantee for
 //! every linear solve backing the hydraulic and thermal models: an ordered
-//! list of [`Rung`]s (solver kind × preconditioner × budget) tried in
-//! order under a [`RetryPolicy`], returning the solution together with a
-//! [`SolveReport`] that records every attempt for observability.
+//! list of [`Rung`]s (solver kind × preconditioner) tried in order, one
+//! attempt each, returning the solution together with a [`SolveReport`]
+//! that records every attempt for observability.
 //!
 //! Two presets cover the workspace's systems:
 //!
@@ -30,7 +30,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::ops;
-use crate::precond::{Identity, Ilu0, Jacobi, Preconditioner};
+use crate::precond::{Ilu0, Preconditioner};
 use crate::solve::{self, Solution, SolveError, SolveStats, SolverOptions};
 use coolnet_obs::{LazyCounter, LazyHistogram};
 use serde::{Deserialize, Serialize};
@@ -58,11 +58,6 @@ static M_RUNG_CONVERGED: [LazyCounter; 5] = [
     LazyCounter::new("ladder.rung3_converged"),
     LazyCounter::new("ladder.rung4plus_converged"),
 ];
-/// Solves that started on a sticky per-site rung hint ([`LadderHint`]).
-static M_HINTED: LazyCounter = LazyCounter::new("ladder.hinted_solves");
-/// Hints cleared, by decay (K consecutive hinted successes) or by a
-/// failure of the hinted starting rung.
-static M_HINT_RESETS: LazyCounter = LazyCounter::new("ladder.hint_resets");
 /// Solves the diagnostics gate routed straight to the terminal dense rung.
 static M_DIAG_ROUTED: LazyCounter = LazyCounter::new("ladder.diag_routed");
 
@@ -83,8 +78,6 @@ fn register_metrics() {
         for c in &M_RUNG_CONVERGED {
             c.register();
         }
-        M_HINTED.register();
-        M_HINT_RESETS.register();
         M_DIAG_ROUTED.register();
     });
 }
@@ -92,6 +85,14 @@ fn register_metrics() {
 /// Default dimension cap for the terminal dense-LU rung: above this the
 /// O(n³) factorization costs more than declaring the probe infeasible.
 pub const DENSE_FALLBACK_CAP: usize = 4096;
+
+/// Systems whose `|net_dominance|` ([`MatrixDiagnostics`]) falls below
+/// this are numerically singular, and the diagnostics gate routes them to
+/// the terminal dense rung. The value sits in the measured gap between the
+/// workspace's escalating thermal probes (`≤ 2.3e-9`, conduction
+/// Laplacians whose advection vanishes at the lowest probed pressures) and
+/// the weakest healthy solves (`≥ 4.2e-9`).
+pub const SINGULAR_NET_DOMINANCE: f64 = 3e-9;
 
 /// Which Krylov (or direct) solver a [`Rung`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,10 +131,6 @@ pub enum PrecondSpec {
     /// The preconditioner the caller passed to [`SolveLadder::solve`]
     /// (e.g. a cached ILU(0) factorization on the probe path).
     Caller,
-    /// No preconditioning.
-    Identity,
-    /// Diagonal (Jacobi) scaling, built from the matrix per attempt.
-    Jacobi,
     /// A fresh ILU(0) factorization, built from the matrix per attempt —
     /// recovers from a stale or poisoned caller preconditioner.
     Ilu0,
@@ -143,151 +140,25 @@ impl fmt::Display for PrecondSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PrecondSpec::Caller => f.write_str("caller"),
-            PrecondSpec::Identity => f.write_str("identity"),
-            PrecondSpec::Jacobi => f.write_str("jacobi"),
             PrecondSpec::Ilu0 => f.write_str("ilu0"),
         }
     }
 }
 
-/// One step of the escalation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One step of the escalation ladder, run once at the caller's tolerance
+/// and iteration budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Rung {
     /// Solver to run.
     pub solver: SolverKind,
     /// Preconditioner to pair it with.
     pub precond: PrecondSpec,
-    /// Multiplier on the caller's residual tolerance (`1.0` keeps it).
-    pub tolerance_factor: f64,
-    /// Multiplier on the caller's iteration budget (`1.0` keeps it).
-    pub iteration_factor: f64,
 }
 
 impl Rung {
-    /// A rung at the caller's unchanged tolerance and iteration budget.
+    /// A rung running `solver` under `precond`.
     pub fn new(solver: SolverKind, precond: PrecondSpec) -> Self {
-        Self {
-            solver,
-            precond,
-            tolerance_factor: 1.0,
-            iteration_factor: 1.0,
-        }
-    }
-}
-
-/// How the ladder retries and loosens within each rung.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Attempts per rung before escalating. The default of `1` makes the
-    /// ladder a pure escalation cascade (no within-rung retries), which
-    /// keeps the no-fault path identical to the pre-ladder solvers.
-    pub attempts_per_rung: usize,
-    /// Multiplier applied to the effective tolerance on each retry within
-    /// a rung (loosening; only meaningful with `attempts_per_rung > 1`).
-    pub tolerance_growth: f64,
-    /// Ceiling the loosened tolerance may never exceed (clamped to at
-    /// least the caller's requested tolerance).
-    pub max_tolerance: f64,
-}
-
-impl Default for RetryPolicy {
-    /// One attempt per rung; retries (if enabled) loosen 10× up to `1e-4`.
-    fn default() -> Self {
-        Self {
-            attempts_per_rung: 1,
-            tolerance_growth: 10.0,
-            max_tolerance: 1e-4,
-        }
-    }
-}
-
-/// Hinted successes before a sticky rung hint decays back to rung 0.
-pub const DEFAULT_HINT_DECAY: u32 = 8;
-
-/// Sticky per-call-site rung memory for [`SolveLadder::solve_hinted`].
-///
-/// A hint remembers the rung the ladder last escalated to at one call
-/// site, so the next solve from that site starts there instead of burning
-/// the rungs below it again. After `decay` consecutive hinted successes
-/// the hint falls back to rung 0, re-probing the cheap rungs so transient
-/// stiffness cannot pin a site on an expensive rung forever. A failure of
-/// the hinted starting rung (including an injected fault) clears the hint
-/// immediately and the solve escalates through the full ladder from
-/// rung 0.
-///
-/// Hints hold no clocks and no randomness: their evolution is a pure
-/// function of the sequence of solves made through them, so a site that
-/// replays the same systems replays the same hint states bit for bit.
-/// Each hint must be owned by exactly one deterministic call sequence
-/// (e.g. one probe cache, one transient integrator) — sharing a hint
-/// across concurrently scored candidates would make its state depend on
-/// the thread schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LadderHint {
-    rung: Option<usize>,
-    streak: u32,
-    decay: u32,
-}
-
-impl Default for LadderHint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LadderHint {
-    /// A cold hint (next solve starts at rung 0) with the default decay.
-    pub fn new() -> Self {
-        Self::with_decay(DEFAULT_HINT_DECAY)
-    }
-
-    /// A cold hint decaying after `decay` consecutive hinted successes
-    /// (clamped to at least 1).
-    pub fn with_decay(decay: u32) -> Self {
-        Self {
-            rung: None,
-            streak: 0,
-            decay: decay.max(1),
-        }
-    }
-
-    /// A hint already pointing at `rung`, as if the last solve through it
-    /// had escalated there (for tests and tuning experiments).
-    pub fn pinned(rung: usize) -> Self {
-        Self {
-            rung: Some(rung),
-            streak: 0,
-            decay: DEFAULT_HINT_DECAY,
-        }
-    }
-
-    /// The rung the next hinted solve will start at, if any.
-    pub fn rung(&self) -> Option<usize> {
-        self.rung
-    }
-
-    /// Clears the hint: the next solve starts at rung 0.
-    pub fn reset(&mut self) {
-        self.rung = None;
-        self.streak = 0;
-    }
-
-    /// Records a success on the hinted rung; returns `true` when the
-    /// streak reached the decay threshold and the hint was cleared.
-    fn note_hinted_success(&mut self) -> bool {
-        self.streak += 1;
-        if self.streak >= self.decay {
-            self.reset();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remembers `rung` as the sticky starting point.
-    fn stick(&mut self, rung: usize) {
-        self.rung = Some(rung);
-        self.streak = 0;
+        Self { solver, precond }
     }
 }
 
@@ -352,66 +223,24 @@ impl MatrixDiagnostics {
             net_dominance,
         }
     }
-}
 
-/// Routes pathological systems straight to the terminal dense rung instead
-/// of burning the Krylov rungs that cannot converge on them.
-///
-/// The gate is *conservative by construction*: it only fires on systems
-/// whose [`MatrixDiagnostics`] mark them numerically singular — where the
-/// Krylov rungs fail within any realistic budget and the escalation would
-/// have ended at the dense rung anyway. Routing therefore reproduces the
-/// escalated solve's solution bit for bit (dense LU ignores the initial
-/// guess and tolerance), just without the dead attempts. Systems the gate
-/// misses still escalate normally and are then covered by the caller's
-/// [`LadderHint`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiagnosticsGate {
-    /// Whether the gate routes at all (default `true`).
-    #[serde(default = "default_gate_enabled")]
-    pub enabled: bool,
-    /// Systems with `|net_dominance|` below this are treated as
-    /// numerically singular. The default sits in the measured gap between
-    /// the workspace's escalating thermal probes (`≤ 2.3e-9`, conduction
-    /// Laplacians whose advection vanishes at the lowest probed pressures)
-    /// and the weakest healthy solves (`≥ 4.2e-9`).
-    #[serde(default = "default_singular_net_dominance")]
-    pub singular_net_dominance: f64,
-}
-
-fn default_gate_enabled() -> bool {
-    true
-}
-
-fn default_singular_net_dominance() -> f64 {
-    3e-9
-}
-
-impl Default for DiagnosticsGate {
-    fn default() -> Self {
-        Self {
-            enabled: default_gate_enabled(),
-            singular_net_dominance: default_singular_net_dominance(),
-        }
-    }
-}
-
-impl DiagnosticsGate {
-    /// A gate that never routes (pure escalation-ladder behavior).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Whether `d` marks a system this gate routes to the dense rung.
-    pub fn routes(&self, d: &MatrixDiagnostics) -> bool {
-        self.enabled
-            && d.dim > 0
-            && (d.min_abs_diag <= 0.0
-                || !d.net_dominance.is_finite()
-                || d.net_dominance.abs() < self.singular_net_dominance)
+    /// Whether the diagnostics gate routes this system straight to the
+    /// terminal dense rung instead of burning the Krylov rungs that cannot
+    /// converge on it: a structural zero pivot, a non-finite net dominance,
+    /// or `|net_dominance|` below [`SINGULAR_NET_DOMINANCE`].
+    ///
+    /// The gate is *conservative by construction*: it only fires on
+    /// numerically singular systems, where the Krylov rungs fail within
+    /// any realistic budget and the escalation would have ended at the
+    /// dense rung anyway. Routing therefore reproduces the escalated
+    /// solve's solution bit for bit (dense LU ignores the initial guess and
+    /// tolerance), just without the dead attempts. Systems the gate misses
+    /// still escalate normally.
+    pub fn is_near_singular(&self) -> bool {
+        self.dim > 0
+            && (self.min_abs_diag <= 0.0
+                || !self.net_dominance.is_finite()
+                || self.net_dominance.abs() < SINGULAR_NET_DOMINANCE)
     }
 }
 
@@ -443,8 +272,6 @@ pub struct Attempt {
     pub solver: SolverKind,
     /// Preconditioner the rung paired with it.
     pub precond: PrecondSpec,
-    /// Effective relative tolerance of this attempt.
-    pub tolerance: f64,
     /// Whether the fault-injection harness forced this attempt's outcome.
     pub injected: bool,
     /// What happened.
@@ -549,18 +376,17 @@ impl From<LadderError> for SolveError {
     }
 }
 
-/// The ordered escalation ladder plus its retry policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The ordered escalation ladder.
+///
+/// Configs saved while the ladder still carried a retry policy, per-rung
+/// budget factors and gate settings still load: those keys are ignored,
+/// and they only ever held the values this ladder now hard-codes (one
+/// attempt per rung at the caller's budget, gate on at
+/// [`SINGULAR_NET_DOMINANCE`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveLadder {
     /// Rungs tried in order.
     pub rungs: Vec<Rung>,
-    /// Within-rung retry/loosening policy.
-    pub policy: RetryPolicy,
-    /// Diagnostics gate routing numerically singular systems straight to
-    /// the terminal dense rung (configs serialized before this field
-    /// existed deserialize to the default, enabled gate).
-    #[serde(default)]
-    pub gate: DiagnosticsGate,
 }
 
 impl Default for SolveLadder {
@@ -588,8 +414,6 @@ impl SolveLadder {
                     PrecondSpec::Caller,
                 ),
             ],
-            policy: RetryPolicy::default(),
-            gate: DiagnosticsGate::default(),
         }
     }
 
@@ -610,21 +434,22 @@ impl SolveLadder {
                     PrecondSpec::Caller,
                 ),
             ],
-            policy: RetryPolicy::default(),
-            gate: DiagnosticsGate::default(),
         }
     }
 
     /// Solves `A·x = b`, trying rungs in order until one converges.
     ///
     /// `caller` is the preconditioner rungs with [`PrecondSpec::Caller`]
-    /// use (typically a cached ILU(0) factorization); other specs build
-    /// their own from `a`. Every candidate solution is checked for finite
-    /// entries before being accepted, so NaN-poisoned arithmetic escalates
-    /// instead of propagating. The [`DiagnosticsGate`] still applies (it
-    /// is stateless), but no sticky hint is consulted or updated — use
-    /// [`solve_hinted`](Self::solve_hinted) from call sites that own a
-    /// [`LadderHint`].
+    /// use (typically a cached ILU(0) factorization); [`PrecondSpec::Ilu0`]
+    /// rungs build their own from `a`. Every candidate solution is checked
+    /// for finite entries before being accepted, so NaN-poisoned
+    /// arithmetic escalates instead of propagating.
+    ///
+    /// The diagnostics gate runs first: a system
+    /// [`MatrixDiagnostics::is_near_singular`] marks goes straight to the
+    /// terminal dense rung (when the ladder ends in one that accepts it)
+    /// in one attempt. If that attempt fails, the full cascade runs from
+    /// rung 0.
     ///
     /// # Errors
     ///
@@ -640,39 +465,30 @@ impl SolveLadder {
         // Output finiteness is guarded per attempt inside the rung loop;
         // here only the system shape is validated.
         assert_eq!(a.rows(), b.len(), "rhs length must match the system");
-        self.solve_inner(a, b, caller, options, None)
-    }
+        register_metrics();
+        let plan = PlanState::current();
+        let mut report = SolveReport::default();
 
-    /// Like [`solve`](Self::solve), but consulting and updating the
-    /// caller's sticky [`LadderHint`]:
-    ///
-    /// * the [`DiagnosticsGate`] is checked first (it is a pure function
-    ///   of the matrix); when it routes, the hint is left untouched;
-    /// * otherwise, a warm hint starts the ladder at its remembered rung;
-    /// * a success on the hinted rung extends the streak (the hint decays
-    ///   back to rung 0 after its configured run of hinted successes);
-    /// * a failure of the hinted starting rung — injected or real —
-    ///   resets the hint and the solve escalates through the full ladder
-    ///   from rung 0;
-    /// * a cold solve that escalates (with no injected faults) sticks the
-    ///   hint to the rung that converged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LadderError`] with the full [`SolveReport`] when every
-    /// rung fails or is inapplicable.
-    pub fn solve_hinted(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-        hint: &mut LadderHint,
-    ) -> Result<LadderSolution, LadderError> {
-        // Output finiteness is guarded per attempt inside the rung loop;
-        // here only the system shape is validated.
-        assert_eq!(a.rows(), b.len(), "rhs length must match the system");
-        self.solve_inner(a, b, caller, options, Some(hint))
+        if let Some(terminal) = self.terminal_dense_rung(a.rows()) {
+            if terminal > 0 && MatrixDiagnostics::measure(a).is_near_singular() {
+                M_DIAG_ROUTED.inc();
+                if let Some(sol) =
+                    self.try_rung(terminal, a, b, caller, options, &plan, &mut report)
+                {
+                    return Ok(self.finish(sol, terminal, report));
+                }
+            }
+        }
+
+        for ri in 0..self.rungs.len() {
+            if let Some(sol) = self.try_rung(ri, a, b, caller, options, &plan, &mut report) {
+                return Ok(self.finish(sol, ri, report));
+            }
+        }
+        M_EXHAUSTED.inc();
+        M_ATTEMPTS.add(report.tried() as u64);
+        M_INJECTED.add(report.injected_faults() as u64);
+        Err(LadderError { report })
     }
 
     /// The rung index the diagnostics gate may route to: the last rung,
@@ -685,89 +501,8 @@ impl SolveLadder {
         }
     }
 
-    fn solve_inner(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-        mut hint: Option<&mut LadderHint>,
-    ) -> Result<LadderSolution, LadderError> {
-        register_metrics();
-        let plan = PlanState::current();
-        let mut report = SolveReport::default();
-
-        // Starting-rung selection: the stateless diagnostics gate first,
-        // then the caller's sticky hint.
-        let mut start = 0usize;
-        let mut hinted = false;
-        if self.gate.enabled {
-            if let Some(terminal) = self.terminal_dense_rung(a.rows()) {
-                if terminal > 0 && self.gate.routes(&MatrixDiagnostics::measure(a)) {
-                    start = terminal;
-                    M_DIAG_ROUTED.inc();
-                }
-            }
-        }
-        if start == 0 {
-            if let Some(r) = hint.as_deref().and_then(LadderHint::rung) {
-                if r > 0 && r < self.rungs.len() {
-                    start = r;
-                    hinted = true;
-                    M_HINTED.inc();
-                }
-            }
-        }
-
-        // Shortcut attempt at the selected rung.
-        if start > 0 {
-            if let Some(sol) = self.try_rung(start, a, b, caller, options, &plan, &mut report) {
-                if hinted {
-                    if let Some(h) = hint.as_deref_mut() {
-                        if h.note_hinted_success() {
-                            M_HINT_RESETS.inc();
-                        }
-                    }
-                }
-                return Ok(self.finish(sol, start, report));
-            }
-            // The shortcut failed (or was skipped): clear a consulted hint
-            // and fall back to the full ladder. The recovery cascade does
-            // not re-stick the hint — the next solve from this site starts
-            // cold again.
-            if hinted {
-                if let Some(h) = hint.as_deref_mut() {
-                    h.reset();
-                    M_HINT_RESETS.inc();
-                }
-            }
-            hint = None;
-        }
-
-        // The full escalation cascade from rung 0 (the only path taken
-        // when neither gate nor hint engaged — bit-identical to the
-        // pre-hint ladder).
-        for ri in 0..self.rungs.len() {
-            if let Some(sol) = self.try_rung(ri, a, b, caller, options, &plan, &mut report) {
-                if ri > 0 && report.injected_faults() == 0 {
-                    // A natural escalation: remember where it ended so the
-                    // next solve from this site starts there. Fault-forced
-                    // escalations (test harness) do not stick.
-                    if let Some(h) = hint.as_deref_mut() {
-                        h.stick(ri);
-                    }
-                }
-                return Ok(self.finish(sol, ri, report));
-            }
-        }
-        M_EXHAUSTED.inc();
-        M_ATTEMPTS.add(report.tried() as u64);
-        M_INJECTED.add(report.injected_faults() as u64);
-        Err(LadderError { report })
-    }
-
-    /// Runs every retry of rung `ri`, recording each attempt (or the skip)
-    /// in `report`; returns the solution if one attempt converged.
+    /// Runs rung `ri` once, recording the attempt (or the skip) in
+    /// `report`; returns the solution if it converged.
     #[allow(clippy::too_many_arguments)]
     fn try_rung(
         &self,
@@ -781,89 +516,64 @@ impl SolveLadder {
     ) -> Option<Solution> {
         let rung = &self.rungs[ri];
         let n = a.rows();
-        let attempts_per_rung = self.policy.attempts_per_rung.max(1);
-        let ceiling = self.policy.max_tolerance.max(options.tolerance);
+        let record = |report: &mut SolveReport, injected: bool, outcome: AttemptOutcome| {
+            report.attempts.push(Attempt {
+                rung: ri,
+                solver: rung.solver,
+                precond: rung.precond,
+                injected,
+                outcome,
+            });
+        };
         if let SolverKind::DenseLu { max_dim } = rung.solver {
             if n > max_dim {
-                report.attempts.push(Attempt {
-                    rung: ri,
-                    solver: rung.solver,
-                    precond: rung.precond,
-                    tolerance: options.tolerance,
-                    injected: false,
-                    outcome: AttemptOutcome::Skipped {
-                        reason: format!("{n} unknowns exceed the {max_dim}-unknown dense cap"),
-                    },
-                });
+                let reason = format!("{n} unknowns exceed the {max_dim}-unknown dense cap");
+                record(report, false, AttemptOutcome::Skipped { reason });
                 return None;
             }
         }
-        let built: Option<Box<dyn Preconditioner>> = match rung.precond {
+        let built = match rung.precond {
             PrecondSpec::Caller => None,
-            PrecondSpec::Identity => Some(Box::new(Identity::new(n))),
-            PrecondSpec::Jacobi => Some(Box::new(Jacobi::new(a))),
-            PrecondSpec::Ilu0 => Some(Box::new(Ilu0::new(a))),
+            PrecondSpec::Ilu0 => Some(Ilu0::new(a)),
         };
         let m: &dyn Preconditioner = match &built {
-            Some(p) => p.as_ref(),
+            Some(p) => p,
             None => caller,
         };
+        let mut opts = options.clone();
+        opts.max_iterations = options.cap(n).max(1);
 
-        for retry in 0..attempts_per_rung {
-            let tolerance = (options.tolerance
-                * rung.tolerance_factor
-                * self.policy.tolerance_growth.powi(retry as i32))
-            .min(ceiling);
-            let mut opts = options.clone();
-            opts.tolerance = tolerance;
-            opts.max_iterations =
-                (((options.cap(n) as f64) * rung.iteration_factor).ceil() as usize).max(1);
-
-            let inject = plan.next();
-            let injected = inject.is_some();
-            let result = match inject {
-                Some(Inject::Fail(e)) => Err(e),
-                other => run_rung(rung.solver, a, b, m, &opts).and_then(|mut sol| {
-                    if matches!(other, Some(Inject::Poison)) {
-                        if let Some(x0) = sol.solution.first_mut() {
-                            *x0 = f64::NAN;
-                        }
+        let inject = plan.next();
+        let injected = inject.is_some();
+        let result = match inject {
+            Some(Inject::Fail(e)) => Err(e),
+            other => run_rung(rung.solver, a, b, m, &opts).and_then(|mut sol| {
+                if matches!(other, Some(Inject::Poison)) {
+                    if let Some(x0) = sol.solution.first_mut() {
+                        *x0 = f64::NAN;
                     }
-                    if sol.solution.iter().all(|v| v.is_finite()) {
-                        Ok(sol)
-                    } else {
-                        Err(SolveError::NonFinite)
-                    }
-                }),
-            };
-            match result {
-                Ok(sol) => {
-                    report.attempts.push(Attempt {
-                        rung: ri,
-                        solver: rung.solver,
-                        precond: rung.precond,
-                        tolerance,
-                        injected,
-                        outcome: AttemptOutcome::Converged {
-                            iterations: sol.stats.iterations,
-                            residual: sol.stats.residual,
-                        },
-                    });
-                    return Some(sol);
                 }
-                Err(e) => {
-                    report.attempts.push(Attempt {
-                        rung: ri,
-                        solver: rung.solver,
-                        precond: rung.precond,
-                        tolerance,
-                        injected,
-                        outcome: AttemptOutcome::Failed(e),
-                    });
+                if sol.solution.iter().all(|v| v.is_finite()) {
+                    Ok(sol)
+                } else {
+                    Err(SolveError::NonFinite)
                 }
+            }),
+        };
+        match result {
+            Ok(sol) => {
+                let outcome = AttemptOutcome::Converged {
+                    iterations: sol.stats.iterations,
+                    residual: sol.stats.residual,
+                };
+                record(report, injected, outcome);
+                Some(sol)
+            }
+            Err(e) => {
+                record(report, injected, AttemptOutcome::Failed(e));
+                None
             }
         }
-        None
     }
 
     /// Stamps stats, records the success metrics and packages the result.
@@ -1093,6 +803,7 @@ mod tests {
     use super::fault::{FaultKind, FaultPlan};
     use super::*;
     use crate::coo::TripletBuilder;
+    use crate::precond::{Identity, Jacobi};
 
     /// Nonsymmetric advection–diffusion matrix (same as solve.rs tests).
     fn advection(n: usize, peclet: f64) -> CsrMatrix {
@@ -1262,23 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_allows_second_attempt_on_same_rung() {
-        let a = advection(30, 1.5);
-        let b = rhs(30);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.policy.attempts_per_rung = 2;
-        let plan = FaultPlan::at([(0, FaultKind::NotConverged)]);
-        let _scope = fault::inject(&plan);
-        let sol = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        // Second attempt of rung 0 succeeds (with a loosened tolerance).
-        assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.stats.attempts, 2);
-        assert!(sol.report.attempts[1].tolerance > sol.report.attempts[0].tolerance);
-    }
-
-    #[test]
     fn report_display_names_solvers() {
         assert_eq!(SolverKind::Gmres { restart: 60 }.to_string(), "gmres(60)");
         assert_eq!(PrecondSpec::Ilu0.to_string(), "ilu0");
@@ -1321,10 +1015,10 @@ mod tests {
         assert_eq!(d.net_dominance, 0.5);
 
         let healthy = MatrixDiagnostics::measure(&advection(40, 2.0));
-        assert!(!DiagnosticsGate::default().routes(&healthy));
+        assert!(!healthy.is_near_singular());
         let sick = MatrixDiagnostics::measure(&near_singular(40));
-        assert!(sick.net_dominance.abs() < 3e-9);
-        assert!(DiagnosticsGate::default().routes(&sick));
+        assert!(sick.net_dominance.abs() < SINGULAR_NET_DOMINANCE);
+        assert!(sick.is_near_singular());
     }
 
     #[test]
@@ -1332,30 +1026,40 @@ mod tests {
         let a = near_singular(25);
         let b = rhs(25);
         let plan = FaultPlan::none();
-        let scope = fault::inject(&plan);
+        let _scope = fault::inject(&plan);
         let sol = SolveLadder::nonsymmetric()
             .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
             .unwrap();
-        drop(scope);
         // One attempt, straight at the terminal dense rung: no escalation
         // recorded, no Krylov budget burned.
         assert_eq!(sol.stats.rung, 3);
         assert_eq!(sol.report.tried(), 1);
         assert_eq!(sol.report.attempts[0].rung, 3);
         assert!(!sol.report.escalated());
-        // Bitwise-identical to what the full escalation cascade produces
-        // when forced to the same dense rung (dense LU ignores attempt
-        // history, the initial guess and the tolerance).
-        let mut unhinted = SolveLadder::nonsymmetric();
-        unhinted.gate = DiagnosticsGate::disabled();
-        let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
+        // Bitwise-identical to the dense LU the full escalation cascade
+        // ends on (dense LU ignores attempt history, the initial guess and
+        // the tolerance).
+        assert_eq!(sol.solution, a.to_dense().solve(&b).unwrap());
+    }
+
+    #[test]
+    fn failed_routed_attempt_falls_back_to_the_full_cascade() {
+        let a = near_singular(25);
+        let b = rhs(25);
+        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
-        let cascade = unhinted
+        let sol = SolveLadder::nonsymmetric()
             .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
             .unwrap();
-        assert_eq!(cascade.stats.rung, 3);
-        assert!(cascade.report.escalated());
-        assert_eq!(sol.solution, cascade.solution);
+        // Attempt 0 is the routed dense rung taking the injected fault;
+        // the cascade then starts over at rung 0, where ILU(0) is exact on
+        // a tridiagonal matrix.
+        assert_eq!(sol.report.attempts[0].rung, 3);
+        assert!(sol.report.attempts[0].injected);
+        assert_eq!(sol.report.attempts[1].rung, 0);
+        assert_eq!(sol.stats.rung, 0);
+        assert_eq!(sol.report.tried(), 2);
+        assert!(sol.solution.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -1379,98 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_gate_starts_at_rung_zero_even_on_singular_systems() {
-        let a = near_singular(25);
-        let b = rhs(25);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.gate = DiagnosticsGate::disabled();
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        // ILU(0) is exact on a tridiagonal matrix, so rung 0 still
-        // converges here; the point is that nothing was routed.
-        let sol = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(sol.report.attempts[0].rung, 0);
-    }
-
-    #[test]
-    fn hinted_solve_starts_on_the_hinted_rung() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let mut hint = LadderHint::pinned(2);
-        let sol = SolveLadder::nonsymmetric()
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut hint)
-            .unwrap();
-        assert_eq!(sol.stats.rung, 2);
-        assert_eq!(sol.report.tried(), 1);
-        assert_eq!(sol.report.attempts[0].rung, 2);
-        assert!(!sol.report.escalated());
-        assert_eq!(hint.rung(), Some(2));
-        check_close(&a, &sol.solution, &b);
-    }
-
-    #[test]
-    fn hint_decays_after_consecutive_hinted_successes() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let ladder = SolveLadder::nonsymmetric();
-        let mut hint = LadderHint::with_decay(2);
-        hint.stick(1);
-        let opts = SolverOptions::default();
-        let first = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(first.stats.rung, 1);
-        assert_eq!(hint.rung(), Some(1));
-        let second = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(second.stats.rung, 1);
-        // The streak reached the decay threshold: back to rung 0.
-        assert_eq!(hint.rung(), None);
-        let third = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(third.stats.rung, 0);
-    }
-
-    #[test]
-    fn fault_on_hinted_rung_resets_hint_and_escalates_from_rung_zero() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let ladder = SolveLadder::nonsymmetric();
-        let mut hint = LadderHint::pinned(2);
-        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
-        let scope = fault::inject(&plan);
-        let sol = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut hint)
-            .unwrap();
-        drop(scope);
-        // Attempt 0 is the hinted rung taking the injected fault; the
-        // recovery cascade then starts over at rung 0 and succeeds.
-        assert_eq!(sol.report.attempts[0].rung, 2);
-        assert!(sol.report.attempts[0].injected);
-        assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.report.tried(), 2);
-        assert_eq!(plan.fired(), 1);
-        // The hint is cleared and the recovery does not re-stick it.
-        assert_eq!(hint.rung(), None);
-        check_close(&a, &sol.solution, &b);
-        // The recovered answer is the unfaulted solve, bit for bit.
-        let _clean = fault::inject(&FaultPlan::none());
-        let unfaulted = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(sol.solution, unfaulted.solution);
-    }
-
-    #[test]
-    fn natural_escalation_sticks_the_hint_faulted_escalation_does_not() {
+    fn natural_escalation_ends_on_the_first_rung_that_converges() {
         let a = advection(40, 2.0);
         let b = rhs(40);
         let ladder = SolveLadder::nonsymmetric();
@@ -1483,72 +1096,49 @@ mod tests {
             ..SolverOptions::default()
         };
         let plan = FaultPlan::none();
-        let scope = fault::inject(&plan);
-        let mut hint = LadderHint::new();
-        let sol = ladder
-            .solve_hinted(&a, &b, &Identity::new(40), &opts, &mut hint)
-            .unwrap();
+        let _scope = fault::inject(&plan);
+        let sol = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
         assert!(sol.stats.rung > 0, "expected a natural escalation");
+        assert!(sol.report.escalated());
         assert_eq!(sol.report.injected_faults(), 0);
-        assert_eq!(
-            hint.rung(),
-            Some(sol.stats.rung),
-            "natural escalation must stick"
+        assert_eq!(sol.report.tried(), sol.stats.rung + 1);
+        check_close(&a, &sol.solution, &b);
+        // The ladder keeps no state between solves: the same system
+        // escalates the same way again, bit for bit.
+        let again = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
+        assert_eq!(again.report, sol.report);
+        assert_eq!(again.solution, sol.solution);
+    }
+
+    #[test]
+    fn ladder_json_saved_with_retired_knobs_still_loads() {
+        // Both presets as serialized before the retry policy, the per-rung
+        // budget factors and the gate settings were removed, with the
+        // retired key names spliced into the template.
+        let saved = |rungs: &str| {
+            let template = format!(
+                r#"{{"rungs":[{rungs}],"policy":{{"{{AP}}":1,"tolerance_growth":10.0,"max_tolerance":0.0001}},"gate":{{"enabled":true,"singular_net_dominance":0.000000003}}}}"#
+            );
+            template
+                .replace("{AP}", concat!("attempts_per", "_rung"))
+                .replace("{TF}", concat!("tolerance", "_factor"))
+                .replace("{IF}", concat!("iteration", "_factor"))
+        };
+        let nonsymmetric = saved(
+            r#"{"solver":"Bicgstab","precond":"Caller","{TF}":1.0,"{IF}":1.0},{"solver":{"Gmres":{"restart":60}},"precond":"Caller","{TF}":1.0,"{IF}":1.0},{"solver":{"Gmres":{"restart":150}},"precond":"Ilu0","{TF}":1.0,"{IF}":1.0},{"solver":{"DenseLu":{"max_dim":4096}},"precond":"Caller","{TF}":1.0,"{IF}":1.0}"#,
         );
-        // The next solve starts straight at the stuck rung.
-        let again = ladder
-            .solve_hinted(&a, &b, &Identity::new(40), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(again.report.tried(), 1);
-        assert_eq!(again.report.attempts[0].rung, sol.stats.rung);
-        drop(scope);
-
-        // The same escalation forced by injected faults must NOT stick:
-        // the test harness's fault schedule may not reflect the matrix.
-        let mut cold = LadderHint::new();
-        let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
-        let _scope = fault::inject(&plan);
-        let forced = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut cold)
-            .unwrap();
-        assert_eq!(forced.stats.rung, 3);
-        assert_eq!(cold.rung(), None, "faulted escalation must not stick");
-    }
-
-    #[test]
-    fn solve_and_cold_hinted_solve_are_bitwise_identical() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let ladder = SolveLadder::nonsymmetric();
-        let opts = SolverOptions::default();
-        let plain = ladder.solve(&a, &b, &Ilu0::new(&a), &opts).unwrap();
-        let mut hint = LadderHint::new();
-        let hinted = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(plain.solution, hinted.solution);
-        assert_eq!(plain.stats.rung, hinted.stats.rung);
-        // A rung-0 success is not an escalation, so the hint stays cold.
-        assert_eq!(hint.rung(), None);
-    }
-
-    #[test]
-    fn ladder_serde_defaults_gate_on_for_old_configs() {
-        let ladder = SolveLadder::nonsymmetric();
-        let json = serde_json::to_string(&ladder).unwrap();
-        assert!(json.contains("singular_net_dominance"));
-        let back: SolveLadder = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.gate, ladder.gate);
-        // Pre-gate configs (no `gate` key) must still load, gate enabled.
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        if let serde_json::Value::Object(map) = &mut value {
-            assert!(map.remove("gate").is_some());
+        let spd = saved(
+            r#"{"solver":"Cg","precond":"Caller","{TF}":1.0,"{IF}":1.0},{"solver":"Bicgstab","precond":"Ilu0","{TF}":1.0,"{IF}":1.0},{"solver":{"Gmres":{"restart":60}},"precond":"Ilu0","{TF}":1.0,"{IF}":1.0},{"solver":{"DenseLu":{"max_dim":4096}},"precond":"Caller","{TF}":1.0,"{IF}":1.0}"#,
+        );
+        assert!(nonsymmetric.contains("\"gate\"") && !nonsymmetric.contains("{TF}"));
+        let loaded: SolveLadder = serde_json::from_str(&nonsymmetric).unwrap();
+        assert_eq!(loaded, SolveLadder::nonsymmetric());
+        let loaded: SolveLadder = serde_json::from_str(&spd).unwrap();
+        assert_eq!(loaded, SolveLadder::spd());
+        // And today's ladders round-trip.
+        for ladder in [SolveLadder::nonsymmetric(), SolveLadder::spd()] {
+            let json = serde_json::to_string(&ladder).unwrap();
+            assert_eq!(serde_json::from_str::<SolveLadder>(&json).unwrap(), ladder);
         }
-        let legacy: SolveLadder =
-            serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap();
-        assert!(legacy.gate.enabled);
-        assert_eq!(legacy.gate, DiagnosticsGate::default());
     }
 }

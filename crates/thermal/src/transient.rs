@@ -15,7 +15,7 @@ use crate::solution::{Resolution, ThermalSolution};
 use crate::tworm::TwoRm;
 use coolnet_sparse::par::RowPartition;
 use coolnet_sparse::precond::Ilu0;
-use coolnet_sparse::{CsrMatrix, LadderHint, SolveStats, SolverOptions, TripletBuilder};
+use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions, TripletBuilder};
 use coolnet_units::{Kelvin, Pascal};
 use std::sync::Arc;
 
@@ -50,9 +50,6 @@ pub struct Transient<'a> {
     dt: f64,
     time: f64,
     last_stats: SolveStats,
-    /// Sticky rung memory across the step sequence: an escalation on one
-    /// step starts the next steps on the rung that worked.
-    hint: LadderHint,
 }
 
 impl FourRm {
@@ -149,7 +146,6 @@ impl<'a> Transient<'a> {
             dt,
             time: 0.0,
             last_stats: SolveStats::default(),
-            hint: LadderHint::new(),
         })
     }
 
@@ -258,19 +254,6 @@ impl<'a> Transient<'a> {
         Kelvin::new(self.t_inlet)
     }
 
-    /// Takes the sticky ladder hint, leaving a fresh one behind. Pairs
-    /// with [`restore_hint`](Self::restore_hint) to carry learned-rung
-    /// state across an integrator rebuild (a pressure change rebuilds the
-    /// operator, not the difficulty of the solves).
-    pub fn take_hint(&mut self) -> LadderHint {
-        std::mem::take(&mut self.hint)
-    }
-
-    /// Installs a previously [taken](Self::take_hint) ladder hint.
-    pub fn restore_hint(&mut self, hint: LadderHint) {
-        self.hint = hint;
-    }
-
     /// Simulated time elapsed in seconds.
     pub fn time(&self) -> f64 {
         self.time
@@ -299,13 +282,10 @@ impl<'a> Transient<'a> {
         options.initial_guess = Some(self.temps.clone());
         options.threads = self.config.solver_threads;
         options.partition = Some(Arc::clone(&self.partition));
-        let sol = self.config.ladder.solve_hinted(
-            &self.matrix,
-            &rhs,
-            &self.precond,
-            &options,
-            &mut self.hint,
-        )?;
+        let sol = self
+            .config
+            .ladder
+            .solve(&self.matrix, &rhs, &self.precond, &options)?;
         self.temps = sol.solution;
         self.last_stats = sol.stats;
         self.time += self.dt;
@@ -596,19 +576,5 @@ mod tests {
             .transient(Pascal::from_kilopascals(5.0), 1e-3, None)
             .unwrap();
         tr.set_inlet_temperature(Kelvin::new(0.0));
-    }
-
-    #[test]
-    fn hint_take_and_restore_round_trips() {
-        let dims = GridDims::new(9, 9);
-        let s = stack(dims, 2.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
-        let p = Pascal::from_kilopascals(5.0);
-        let mut tr = sim.transient(p, 1e-3, None).unwrap();
-        tr.run(2).unwrap();
-        let hint = tr.take_hint();
-        let mut tr2 = sim.transient(p, 1e-3, None).unwrap();
-        tr2.restore_hint(hint);
-        tr2.run(2).unwrap();
     }
 }

@@ -10,9 +10,6 @@
 //! cargo run --release --example runtime_flow_control
 //! ```
 
-use coolnet::opt::runtime::{
-    pumping_energy, simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions,
-};
 use coolnet::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,15 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.duration()
     );
     for (name, ctrl) in [("fixed pressure", fixed), ("adaptive flow", adaptive)] {
-        let samples = simulate_adaptive_flow(&bench, &network, &trace, &ctrl, &opts)?;
-        let worst = samples
-            .iter()
-            .map(|s| s.t_max.value())
-            .fold(f64::NEG_INFINITY, f64::max);
-        let energy = pumping_energy(&samples);
+        let run = simulate_adaptive_flow(&bench, &network, &trace, &ctrl, &opts)?;
+        let worst = run.peak_t_max().value();
+        let energy = run.pumping_energy();
         println!("\n--- {name} ---");
         println!("   t (ms)  scale   P (kPa)   T_max (K)   W_pump (mW)");
-        for s in samples.iter().step_by(2) {
+        for s in run.intervals.iter().step_by(2) {
             println!(
                 "  {:>6.0}  {:>5.2}  {:>8.2}  {:>10.2}  {:>12.4}",
                 s.time * 1e3,

@@ -70,19 +70,16 @@ fn problem2_is_thread_count_invariant() {
     sweep(2, Problem::ThermalGradient, 31);
 }
 
-/// The adaptive ladder (diagnostics gate + sticky rung hints) must be
-/// invisible to replay: the same probe sequence yields bitwise-identical
-/// temperatures and an identical rung/attempt trace at 1, 2 and 4 solver
-/// threads — with both mechanisms demonstrably engaged, not idle.
+/// The diagnostics gate must be invisible to replay: the same probe
+/// sequence yields bitwise-identical temperatures and an identical
+/// rung/attempt trace at 1, 2 and 4 solver threads — with the gate
+/// demonstrably engaged, not idle.
 ///
 /// The probe at 1e-9 kPa has vanishing advection, so the steady operator
-/// is a near-singular conduction Laplacian: with the gate on it is routed
-/// straight to the dense rung (one attempt); with the gate off the first
-/// such probe escalates naturally through every rung and the sticky hint
-/// then starts subsequent probes on the rung that worked.
+/// is a near-singular conduction Laplacian that the gate routes straight
+/// to the dense rung (one attempt).
 #[test]
 fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
-    use coolnet::sparse::DiagnosticsGate;
     let dims = GridDims::new(11, 11);
     let bench = Benchmark::iccad_scaled(1, dims);
     let net = straight::build(
@@ -97,14 +94,11 @@ fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
 
     // Replays one probe sequence on a fresh simulator, returning every
     // temperature bit plus the (rung, attempts) trace per probe.
-    let run = |threads: usize, gate: bool| -> (Vec<u64>, Vec<(usize, usize)>) {
-        let mut cfg = ThermalConfig {
+    let run = |threads: usize| -> (Vec<u64>, Vec<(usize, usize)>) {
+        let cfg = ThermalConfig {
             solver_threads: threads,
             ..ThermalConfig::default()
         };
-        if !gate {
-            cfg.ladder.gate = DiagnosticsGate::disabled();
-        }
         let sim = TwoRm::new(&stack, 2, &cfg).unwrap();
         let mut bits = Vec::new();
         let mut trace = Vec::new();
@@ -116,29 +110,14 @@ fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
         (bits, trace)
     };
 
-    // Gate on: degenerate probes are routed to the dense rung in a single
-    // attempt; healthy probes are untouched at rung 0. No sticky state —
-    // routing is per-solve, so the trace is position-independent.
-    let gated = run(1, true);
+    // Degenerate probes are routed to the dense rung in a single attempt;
+    // healthy probes are untouched at rung 0. No sticky state — routing
+    // is per-solve, so the trace is position-independent.
+    let gated = run(1);
     assert_eq!(gated.1, [(0, 1), (3, 1), (0, 1), (3, 1), (0, 1)]);
 
-    // Gate off: the first degenerate probe pays the full cascade (four
-    // attempts), the hint sticks on the winning rung, and every later
-    // probe in the sequence starts there in one attempt.
-    let hinted = run(1, false);
-    assert_eq!(hinted.1, [(0, 1), (3, 4), (3, 1), (3, 1), (3, 1)]);
-
-    // Neither mechanism may leak thread-count dependence into results.
+    // The gate may not leak thread-count dependence into results.
     for threads in [2, 4] {
-        assert_eq!(
-            run(threads, true),
-            gated,
-            "gated replay at {threads} threads"
-        );
-        assert_eq!(
-            run(threads, false),
-            hinted,
-            "hinted replay at {threads} threads"
-        );
+        assert_eq!(run(threads), gated, "gated replay at {threads} threads");
     }
 }

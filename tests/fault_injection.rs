@@ -9,7 +9,6 @@
 //! other's fault indices.
 
 use coolnet::opt::pool::{PoolExec, ScoreFn, SolverPool};
-use coolnet::opt::runtime::{simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions};
 use coolnet::opt::treeopt::EvalRequest;
 use coolnet::opt::RequestScorer;
 use coolnet::prelude::*;
@@ -264,8 +263,8 @@ fn sa_run_survives_chaotic_cost_evaluations() {
 }
 
 /// A mid-trace solver fault in the run-time simulation surfaces a
-/// `RuntimeError` carrying the failing control step, simulated time,
-/// active pressure, and every sample collected before the fault.
+/// `ScenarioError::Run` carrying the failing control step, simulated time,
+/// active pressure, and every interval completed before the fault.
 #[test]
 fn runtime_simulation_fault_reports_context_and_partial_trace() {
     let bench = Benchmark::iccad_scaled(1, dims());
@@ -290,22 +289,29 @@ fn runtime_simulation_fault_reports_context_and_partial_trace() {
         plan.fired() >= 4,
         "ladder exhaustion needs one fault per rung"
     );
-    assert!(
-        err.step >= 1,
-        "setup and early steps should precede the fault"
-    );
-    assert_eq!(err.samples.len(), err.step, "one sample per completed step");
-    assert!(err.time > 0.0);
-    assert!(err.p_sys.value() > 0.0);
-    assert!(matches!(err.source, ThermalError::Solver(_)));
     let msg = err.to_string();
+    let ScenarioError::Run {
+        step,
+        time,
+        p_sys,
+        intervals,
+        source,
+    } = err
+    else {
+        panic!("want a run error, got {err:?}");
+    };
+    assert!(step >= 1, "setup and early steps should precede the fault");
+    assert_eq!(intervals.len(), step, "one interval per completed step");
+    assert!(time > 0.0);
+    assert!(p_sys.value() > 0.0);
+    assert!(matches!(source, ThermalError::Solver(_)));
     assert!(
         msg.contains("step"),
         "display should locate the fault: {msg}"
     );
     // The partial trace is usable: monotone time, finite temperatures.
-    for pair in err.samples.windows(2) {
+    for pair in intervals.windows(2) {
         assert!(pair[1].time > pair[0].time);
     }
-    assert!(err.samples.iter().all(|s| s.t_max.value().is_finite()));
+    assert!(intervals.iter().all(|s| s.t_max.value().is_finite()));
 }

@@ -189,8 +189,6 @@ fn ladder_counters_export_explicit_zeros_and_gate_routes_count() {
         "ladder.rung2_converged",
         "ladder.rung3_converged",
         "ladder.rung4plus_converged",
-        "ladder.hinted_solves",
-        "ladder.hint_resets",
         "ladder.diag_routed",
     ] {
         assert!(
@@ -199,7 +197,7 @@ fn ladder_counters_export_explicit_zeros_and_gate_routes_count() {
         );
     }
 
-    // A healthy probe is neither hinted nor routed...
+    // A healthy probe is not routed...
     let before = obs::snapshot();
     ev.profile(Pascal::from_kilopascals(12.0)).unwrap();
     let mid = obs::snapshot();
