@@ -76,7 +76,7 @@ pub fn describe(lint: &str) -> &'static str {
         FINITE_GUARD => "solve*/assemble* entry points guard against non-finite input",
         DOC_COVERAGE => "public items in foundation crates carry doc comments",
         DETERMINISM => {
-            "no order-unstable, wall-clock or unseeded-RNG constructs in solver/opt code"
+            "no order-unstable, wall-clock, unseeded or external RNG constructs in solver/opt code"
         }
         SHARED_STATE => "lock acquisitions tolerate poisoning instead of propagating it",
         ERROR_DISCIPLINE => "no silently discarded Results in solver/flow/thermal code",
@@ -131,11 +131,14 @@ tests pin it). The contract now reaches end to end: generated-case specs
 solvers. This lint flags constructs whose behavior can differ
 between runs in non-test solver/opt code: std HashMap/HashSet (iteration
 and drain order are randomized per process), wall-clock reads
-(Instant::now / SystemTime) feeding values, and unseeded RNG construction
-(thread_rng, from_entropy, OsRng).
-Fix: key ordered state on BTreeMap, derive RNGs from the job seed
-(StdRng::seed_from_u64), and keep wall-clock reads in bench/obs code. If
-order provably cannot leak into results, document why at the site and add
+(Instant::now / SystemTime) feeding values, unseeded RNG construction
+(thread_rng, from_entropy) and external generators (StdRng), whose
+stream may change between crate versions and reshuffle every seeded
+design.
+Fix: key ordered state on BTreeMap, derive RNGs from the job seed through
+the pinned crate-local streams (coolnet_cases::gen::SearchRng::new,
+CaseRng::new), and keep wall-clock reads in bench/obs code. If order
+provably cannot leak into results, document why at the site and add
 `// analyze:allow(determinism)`."
         }
         SHARED_STATE => {
@@ -160,9 +163,8 @@ that solver, flow and thermal code must surface — a dropped solve failure
 turns into a wrong design, not a crash. This lint flags both discard
 shapes outside tests. Chained uses (`.ok()?`, `.ok().map(...)`) convert
 rather than discard and are not flagged.
-Fix: handle or propagate the error; when a discard is deliberate (e.g.
-crossbeam scope results whose only error is a worker panic that is
-already absorbed or resumed), document why and add
+Fix: handle or propagate the error; when a discard is deliberate (e.g. a
+send to a receiver that may already have hung up), document why and add
 `// analyze:allow(error-discipline)`."
         }
         _ => "unknown lint",
@@ -409,7 +411,7 @@ pub fn doc_coverage(file: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// Order-unstable / wall-clock / unseeded-RNG tokens and their messages.
-const DETERMINISM_TOKENS: [(&str, &str); 6] = [
+const DETERMINISM_TOKENS: [(&str, &str); 7] = [
     (
         "HashMap",
         "std HashMap order is unstable across runs; use BTreeMap for ordered state, \
@@ -430,17 +432,22 @@ const DETERMINISM_TOKENS: [(&str, &str); 6] = [
     ),
     (
         "thread_rng",
-        "unseeded RNG; derive the generator from the job seed (StdRng::seed_from_u64)",
+        "unseeded RNG; derive the generator from the job seed (SearchRng::new)",
     ),
     (
         "from_entropy",
-        "entropy-seeded RNG; derive the generator from the job seed \
-         (StdRng::seed_from_u64)",
+        "entropy-seeded RNG; derive the generator from the job seed (SearchRng::new)",
+    ),
+    (
+        "StdRng",
+        "external RNG whose stream may change between crate versions; use the \
+         pinned crate-local SearchRng or CaseRng",
     ),
 ];
 
-/// `determinism`: flags order-unstable constructs, wall-clock reads and
-/// unseeded RNG construction outside `#[cfg(test)]`.
+/// `determinism`: flags order-unstable constructs, wall-clock reads,
+/// unseeded RNG construction and external generators outside
+/// `#[cfg(test)]`.
 pub fn determinism(file: &SourceFile, out: &mut Vec<Violation>) {
     token_lint(file, out, DETERMINISM, &DETERMINISM_TOKENS);
 }
@@ -874,6 +881,20 @@ mod tests {\n\
     }
 
     #[test]
+    fn determinism_flags_external_std_rng() {
+        // A version-unstable external generator in scope would reshuffle
+        // every seeded design on a dependency bump, as `floorplan::
+        // synthetic` once did. The pinned crate-local streams pass.
+        let src = "let mut rng = StdRng::seed_from_u64(seed);\n\
+                   let mut ok = SearchRng::new(seed);\n\
+                   struct MyStdRngish;\n";
+        let v = run(determinism, src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 1);
+        assert!(v[0].message.contains("SearchRng"));
+    }
+
+    #[test]
     fn determinism_ignores_tests_comments_and_longer_idents() {
         let src = "// HashMap in a comment\n\
                    let s = \"HashSet\";\n\
@@ -974,7 +995,7 @@ mod tests {\n\
     #[test]
     fn error_discipline_honors_allow_escape() {
         let src = "// analyze:allow(error-discipline)\n\
-                   let _ = crossbeam::scope(|s| run(s));\n";
+                   let _ = tx.send(msg);\n";
         assert!(run(error_discipline, src).is_empty());
     }
 

@@ -33,7 +33,7 @@
 
 use coolnet::cases::gen::{corpus, CaseSpec};
 use coolnet::opt::differential::{fingerprint, run_case, CaseReport, DiffConfig};
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{write_json, HarnessOpts, LadderSummary};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::path::Path;
@@ -47,35 +47,6 @@ struct ThreadFingerprint {
     /// Hex FNV-1a digest of the replayed reports (hex so `jq` string
     /// compares are exact; JSON numbers round above 2^53).
     fingerprint: String,
-}
-
-/// Solve-ladder escalation accounting over the base sweep.
-#[derive(Debug, Serialize)]
-struct LadderSummary {
-    /// Ladder solves in the window.
-    solves: u64,
-    /// Solver attempts actually run.
-    attempts: u64,
-    /// Solves needing more than one attempt.
-    escalations: u64,
-    /// Attempts beyond one per solve (`attempts - solves`).
-    wasted_attempts: u64,
-    /// Solves the diagnostics gate routed straight to the dense rung.
-    diag_routed: u64,
-}
-
-impl LadderSummary {
-    fn delta(after: &MetricsSnapshot, before: &MetricsSnapshot) -> Self {
-        let solves = after.counter_delta(before, "ladder.solves");
-        let attempts = after.counter_delta(before, "ladder.attempts");
-        Self {
-            solves,
-            attempts,
-            escalations: after.counter_delta(before, "ladder.escalations"),
-            wasted_attempts: attempts.saturating_sub(solves),
-            diag_routed: after.counter_delta(before, "ladder.diag_routed"),
-        }
-    }
 }
 
 /// Evaluation-cache deltas over the base sweep. The differential checks

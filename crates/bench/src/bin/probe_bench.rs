@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 
 use coolnet::prelude::*;
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{host_threads, write_json, HarnessOpts, LadderSummary};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::time::Instant;
@@ -128,9 +128,7 @@ fn measure(
 
     let probes = reps * pressures_kpa.len();
     let iterations = after.histogram_sum_delta(&before, "ladder.iterations");
-    let attempts = after.counter_delta(&before, "ladder.attempts");
-    let escalations = after.counter_delta(&before, "ladder.escalations");
-    let solves = after.counter_delta(&before, "ladder.solves");
+    let ladder = LadderSummary::delta(&after, &before);
     let result = ConfigResult {
         name: name.to_owned(),
         solver_threads: config.solver_threads,
@@ -139,15 +137,11 @@ fn measure(
         elapsed_s,
         probes_per_sec: probes as f64 / elapsed_s,
         mean_iterations: per_probe(iterations, probes),
-        escalations,
-        mean_attempts: per_probe(attempts, probes),
-        wasted_attempts: attempts.saturating_sub(solves),
-        escalation_rate: if solves == 0 {
-            0.0
-        } else {
-            escalations as f64 / solves as f64
-        },
-        diag_routed: after.counter_delta(&before, "ladder.diag_routed"),
+        escalations: ladder.escalations,
+        mean_attempts: per_probe(ladder.attempts, probes),
+        wasted_attempts: ladder.wasted_attempts,
+        escalation_rate: ladder.escalation_rate,
+        diag_routed: ladder.diag_routed,
     };
     println!(
         "  {:12} {:7.2} probes/s   {:5.1} iters/probe   {} escalations   {} wasted   \
@@ -155,7 +149,7 @@ fn measure(
         result.name,
         result.probes_per_sec,
         result.mean_iterations,
-        escalations,
+        result.escalations,
         result.wasted_attempts,
         probes,
         elapsed_s
@@ -234,7 +228,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         grid: opts.grid,
         dies,
         unknowns,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        host_threads: host_threads(),
         pressures_kpa,
         reps,
         configs,

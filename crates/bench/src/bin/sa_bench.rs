@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 
 use coolnet::prelude::*;
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{host_threads, write_json, HarnessOpts, LadderSummary};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::time::Instant;
@@ -65,46 +65,6 @@ struct RunResult {
     pool_tasks: u64,
     /// Solve-ladder escalation-tax diagnostics over the reused arm.
     ladder: LadderSummary,
-}
-
-/// Escalation-tax accounting over a snapshot window: how many ladder
-/// attempts were spent beyond the first attempt of each solve, and how
-/// the diagnostics gate avoided them.
-#[derive(Debug, Serialize)]
-struct LadderSummary {
-    /// Ladder solves in the window.
-    solves: u64,
-    /// Solver attempts actually run.
-    attempts: u64,
-    /// Solves needing more than one attempt.
-    escalations: u64,
-    /// Attempts beyond one per solve (`attempts - solves`): the
-    /// escalation tax this PR exists to kill.
-    wasted_attempts: u64,
-    /// `escalations / solves` (0 when no solves ran).
-    escalation_rate: f64,
-    /// Solves the diagnostics gate routed straight to the dense rung.
-    diag_routed: u64,
-}
-
-impl LadderSummary {
-    fn delta(after: &MetricsSnapshot, before: &MetricsSnapshot) -> Self {
-        let solves = after.counter_delta(before, "ladder.solves");
-        let attempts = after.counter_delta(before, "ladder.attempts");
-        let escalations = after.counter_delta(before, "ladder.escalations");
-        Self {
-            solves,
-            attempts,
-            escalations,
-            wasted_attempts: attempts.saturating_sub(solves),
-            escalation_rate: if solves == 0 {
-                0.0
-            } else {
-                escalations as f64 / solves as f64
-            },
-            diag_routed: after.counter_delta(before, "ladder.diag_routed"),
-        }
-    }
 }
 
 /// One worker-thread determinism sweep (`--threads-sweep`): the same job
@@ -386,7 +346,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         schedule: if quick { "quick" } else { "reduced" }.to_owned(),
         grid: opts.grid,
         parallelism: sched.parallelism,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        host_threads: host_threads(),
         flows: sched.flows.len(),
         runs,
         threads_sweep: sweeps,

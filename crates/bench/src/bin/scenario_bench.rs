@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use coolnet::prelude::*;
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{host_threads, write_json, HarnessOpts};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::time::Instant;
@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let artifact = ScenarioBench {
         grid: opts.grid,
         model: "2rm".to_owned(),
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        host_threads: host_threads(),
         scenarios,
         all_identical,
         metrics: coolnet_obs::snapshot(),

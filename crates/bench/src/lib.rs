@@ -14,6 +14,8 @@
 #![forbid(unsafe_code)]
 
 use coolnet::prelude::*;
+use coolnet_obs::MetricsSnapshot;
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Parsed harness options.
@@ -80,15 +82,7 @@ impl HarnessOpts {
 
     /// The benchmark suite at this run's scale.
     pub fn benchmarks(&self) -> Vec<Benchmark> {
-        (1..=5)
-            .map(|id| {
-                if self.full && self.grid == 101 {
-                    Benchmark::iccad(id)
-                } else {
-                    Benchmark::iccad_scaled(id, self.dims())
-                }
-            })
-            .collect()
+        (1..=5).map(|id| self.benchmark(id)).collect()
     }
 
     /// One benchmark case at this run's scale.
@@ -101,16 +95,16 @@ impl HarnessOpts {
     }
 
     /// The tree-search options for `problem` at this run's scale.
+    ///
+    /// The preset's `parallelism` (candidates drawn per SA iteration) is
+    /// kept as is: it shapes the RNG trajectory, so a seed names the same
+    /// design on every host. Scoring threads follow the hardware on their
+    /// own.
     pub fn tree_options(&self, problem: Problem) -> TreeSearchOptions {
-        if self.full {
-            match problem {
-                Problem::PumpingPower => TreeSearchOptions::paper_problem1(self.seed),
-                Problem::ThermalGradient => TreeSearchOptions::paper_problem2(self.seed),
-            }
-        } else {
-            let mut o = TreeSearchOptions::reduced(self.seed);
-            o.parallelism = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
-            o
+        match (self.full, problem) {
+            (true, Problem::PumpingPower) => TreeSearchOptions::paper_problem1(self.seed),
+            (true, Problem::ThermalGradient) => TreeSearchOptions::paper_problem2(self.seed),
+            (false, _) => TreeSearchOptions::reduced(self.seed),
         }
     }
 
@@ -138,12 +132,57 @@ impl HarnessOpts {
     }
 }
 
+/// Hardware threads on the measurement host, as the artifacts record it.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Solve-ladder escalation accounting over a metrics snapshot window:
+/// how many attempts were spent beyond the first attempt of each solve,
+/// and how many solves the diagnostics gate routed to the dense rung.
+#[derive(Debug, Serialize)]
+pub struct LadderSummary {
+    /// Ladder solves in the window.
+    pub solves: u64,
+    /// Solver attempts actually run.
+    pub attempts: u64,
+    /// Solves needing more than one attempt.
+    pub escalations: u64,
+    /// Attempts beyond one per solve (`attempts - solves`).
+    pub wasted_attempts: u64,
+    /// `escalations / solves` (0 when no solves ran).
+    pub escalation_rate: f64,
+    /// Solves the diagnostics gate routed straight to the dense rung.
+    pub diag_routed: u64,
+}
+
+impl LadderSummary {
+    /// The ladder counters' change from `before` to `after`.
+    pub fn delta(after: &MetricsSnapshot, before: &MetricsSnapshot) -> Self {
+        let solves = after.counter_delta(before, "ladder.solves");
+        let attempts = after.counter_delta(before, "ladder.attempts");
+        let escalations = after.counter_delta(before, "ladder.escalations");
+        Self {
+            solves,
+            attempts,
+            escalations,
+            wasted_attempts: attempts.saturating_sub(solves),
+            escalation_rate: if solves == 0 {
+                0.0
+            } else {
+                escalations as f64 / solves as f64
+            },
+            diag_routed: after.counter_delta(before, "ladder.diag_routed"),
+        }
+    }
+}
+
 /// Writes a serializable artifact as pretty JSON.
 ///
 /// # Panics
 ///
 /// Panics on I/O or serialization errors (harness binaries fail loudly).
-pub fn write_json<T: serde::Serialize>(path: &Path, value: &T) {
+pub fn write_json<T: Serialize>(path: &Path, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serialize artifact");
     std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("  wrote {}", path.display());
@@ -353,6 +392,25 @@ mod tests {
         let b = opts.benchmark(1);
         assert_eq!(b.dims, GridDims::new(21, 21));
         assert_eq!(opts.benchmarks().len(), 5);
+    }
+
+    #[test]
+    fn tree_options_keep_the_preset_parallelism() {
+        // Candidates per iteration shape the RNG trajectory: a seed must
+        // name the same design whatever the host's core count.
+        let opts = HarnessOpts {
+            full: false,
+            grid: 21,
+            seed: 1,
+            out: PathBuf::from("/tmp"),
+            rest: vec![],
+        };
+        for problem in [Problem::PumpingPower, Problem::ThermalGradient] {
+            assert_eq!(
+                opts.tree_options(problem).parallelism,
+                TreeSearchOptions::reduced(1).parallelism
+            );
+        }
     }
 
     #[test]

@@ -52,12 +52,13 @@ use serde::{Deserialize, Serialize};
 
 /// A deterministic splitmix64 pseudo-random stream.
 ///
-/// This is the crate's only randomness source. It is deliberately *not*
-/// an external RNG: `rand`'s `StdRng` documents that its stream may
-/// change between major versions, which would silently reshuffle every
-/// committed benchmark on a dependency bump. splitmix64 is a fixed,
-/// published algorithm (Steele et al., "Fast splittable pseudorandom
-/// number generators"), so the stream is stable forever.
+/// This is the case generator's randomness source, and it also seeds the
+/// SA search's [`SearchRng`]. It is deliberately *not* an external RNG:
+/// an external crate's stream may change between major versions, which
+/// would silently reshuffle every committed benchmark on a dependency
+/// bump. splitmix64 is a fixed, published algorithm (Steele et al.,
+/// "Fast splittable pseudorandom number generators"), so the stream is
+/// stable forever.
 #[derive(Debug, Clone)]
 pub struct CaseRng {
     state: u64,
@@ -81,7 +82,7 @@ impl CaseRng {
 
     /// A uniform `f64` in `[0, 1)` built from the top 53 bits.
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+        unit_f64(self.next_u64())
     }
 
     /// A uniform `f64` in `[lo, hi)`.
@@ -98,6 +99,59 @@ impl CaseRng {
         assert!(lo <= hi, "empty range {lo}..={hi}");
         let span = f64::from(hi - lo) + 1.0;
         lo + (self.unit() * span) as u16
+    }
+}
+
+/// Maps the top 53 bits of a word to a uniform `f64` in `[0, 1)`.
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+}
+
+/// The SA search's xoshiro256++ stream (Blackman & Vigna, "Scrambled
+/// linear pseudorandom number generators").
+///
+/// Algorithm 1's staged search draws every move and every Metropolis
+/// test from it, so a seed replays the whole search. The 4-word state is
+/// the first four outputs of [`CaseRng::new`]`(seed)`. splitmix64 maps
+/// distinct counter values to distinct outputs, so at most one word is
+/// zero and the state is never xoshiro's all-zero fixed point. The
+/// golden vectors in this module's tests pin the stream bit for bit.
+#[derive(Debug, Clone)]
+pub struct SearchRng {
+    s: [u64; 4],
+}
+
+impl SearchRng {
+    /// Creates a stream from a seed (any seed, including 0).
+    pub fn new(seed: u64) -> Self {
+        let mut seeder = CaseRng::new(seed);
+        Self {
+            s: std::array::from_fn(|_| seeder.next_u64()),
+        }
+    }
+
+    /// The next 64 uniformly distributed bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
+        result
+    }
+
+    /// A uniform `f64` in `[0, 1)` built from the top 53 bits.
+    pub fn unit(&mut self) -> f64 {
+        unit_f64(self.next_u64())
+    }
+
+    /// A fair coin: the low bit of the next word.
+    pub fn coin(&mut self) -> bool {
+        self.next_u64() & 1 == 1
     }
 }
 
@@ -343,6 +397,56 @@ mod tests {
         let mut rng = CaseRng::new(1234567);
         assert_eq!(rng.next_u64(), 0x599E_D017_FB08_FC85);
         assert_eq!(rng.next_u64(), 0x2C73_F084_5854_0FA5);
+    }
+
+    #[test]
+    fn search_stream_matches_golden_vectors() {
+        // xoshiro256++ seeded from CaseRng, as the SA search has always
+        // drawn it. A change here reshuffles every seeded design.
+        let words = |seed| {
+            let mut rng = SearchRng::new(seed);
+            [(); 4].map(|()| rng.next_u64())
+        };
+        assert_eq!(
+            words(0),
+            [
+                0x5317_5D61_490B_23DF,
+                0x61DA_6F3D_C380_D507,
+                0x5C0F_DF91_EC9A_7BFC,
+                0x02EE_BF8C_3BBE_5E1A
+            ]
+        );
+        assert_eq!(
+            words(42),
+            [
+                0xD076_4D4F_4476_689F,
+                0x519E_4174_576F_3791,
+                0xFBE0_7CFB_0C24_ED8C,
+                0xB37D_9F60_0CD8_35B8
+            ]
+        );
+        let (t, f) = (true, false);
+        for (seed, unit_bits, coins) in [
+            (0, 0x3FD4_C5D7_5852_42C8, [t, f, f, f, f, f, t, t]),
+            (42, 0x3FEA_0EC9_A9E8_8ECD, [t, f, f, t, t, f, f, t]),
+        ] {
+            let mut rng = SearchRng::new(seed);
+            assert_eq!(rng.unit().to_bits(), unit_bits, "seed {seed}");
+            assert_eq!([(); 8].map(|()| rng.coin()), coins, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn search_units_cover_the_half_open_interval() {
+        let mut rng = SearchRng::new(11);
+        let (mut lo, mut hi) = (1.0f64, 0.0f64);
+        for _ in 0..4096 {
+            let u = rng.unit();
+            assert!((0.0..1.0).contains(&u));
+            lo = lo.min(u);
+            hi = hi.max(u);
+        }
+        assert!(lo < 0.01 && hi > 0.99, "poor coverage: [{lo}, {hi}]");
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub mod files;
 /// engine's presets rotate through.
 pub mod floorplan;
 /// Parameterized case generation: [`gen::CaseSpec`], the crate-local
-/// deterministic [`gen::CaseRng`] splitmix64 stream, and the seeded
-/// corpus sampler [`gen::corpus`].
+/// deterministic [`gen::CaseRng`] splitmix64 stream (and the SA search's
+/// [`gen::SearchRng`] it seeds), and the seeded corpus sampler
+/// [`gen::corpus`].
 pub mod gen;
 
 use coolnet_grid::{tsv, CellMask, GridDims};

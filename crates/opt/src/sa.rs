@@ -4,15 +4,14 @@
 //! neighbors, takes the best, and asks the [`Acceptor`] whether it
 //! replaces the incumbent.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use coolnet_cases::gen::SearchRng;
 
 /// Metropolis acceptance state.
 #[derive(Debug, Clone)]
 pub struct Acceptor {
     temperature: f64,
     cooling: f64,
-    rng: StdRng,
+    rng: SearchRng,
 }
 
 impl Acceptor {
@@ -21,7 +20,7 @@ impl Acceptor {
         Self {
             temperature: temperature.max(1e-12),
             cooling,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SearchRng::new(seed),
         }
     }
 
@@ -38,7 +37,7 @@ impl Acceptor {
             true
         } else {
             let delta = candidate - current;
-            self.rng.gen::<f64>() < (-delta / self.temperature).exp()
+            self.rng.unit() < (-delta / self.temperature).exp()
         };
         self.temperature = (self.temperature * self.cooling).max(1e-12);
         accept

@@ -17,14 +17,13 @@ use crate::psearch::PressureSearchOptions;
 use crate::result::DesignResult;
 use crate::sa::Acceptor;
 use crate::Problem;
+use coolnet_cases::gen::SearchRng;
 use coolnet_cases::Benchmark;
 use coolnet_network::builders::tree::{self, BranchStyle, TreeConfig, TreeParams};
 use coolnet_network::builders::GlobalFlow;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
 use coolnet_units::Pascal;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -760,19 +759,19 @@ impl<'a> TreeSearch<'a> {
         .ok()
     }
 
-    fn perturb(&self, config: &TreeConfig, step: u16, rng: &mut StdRng) -> TreeConfig {
+    fn perturb(&self, config: &TreeConfig, step: u16, rng: &mut SearchRng) -> TreeConfig {
         let along = self.along_len(config.flow) as i32;
         let step = step.max(2) as i32;
         let mut c = config.clone();
         for t in &mut c.trees {
             // Each parameter moves by ±step or stays, with equal
             // probability (§4.4 move description).
-            if rng.gen::<bool>() {
-                let d = if rng.gen::<bool>() { step } else { -step };
+            if rng.coin() {
+                let d = if rng.coin() { step } else { -step };
                 t.b1 = clamp_even(t.b1 as i32 + d, 2, t.b2 as i32 - 2) as u16;
             }
-            if rng.gen::<bool>() {
-                let d = if rng.gen::<bool>() { step } else { -step };
+            if rng.coin() {
+                let d = if rng.coin() { step } else { -step };
                 t.b2 = clamp_even(t.b2 as i32 + d, t.b1 as i32 + 2, along - 4) as u16;
             }
         }
@@ -926,7 +925,7 @@ impl<'a> TreeSearch<'a> {
         exec: &Exec<'_>,
     ) -> ((TreeConfig, f64), Option<CutPoint>) {
         M_RUNS.inc();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SearchRng::new(seed);
         // Fixed pressure for cheap metrics: from a full evaluation of the
         // initial configuration (fallback: the search default).
         let mut fixed_p = match stage.metric {
@@ -955,7 +954,7 @@ impl<'a> TreeSearch<'a> {
         } else {
             1.0
         };
-        let mut acceptor = Acceptor::new(t0, 0.92, rng.gen());
+        let mut acceptor = Acceptor::new(t0, 0.92, rng.next_u64());
 
         let mut current = init.clone();
         let mut current_cost = init_cost;
@@ -1117,7 +1116,7 @@ mod tests {
         let opts = TreeSearchOptions::quick(1);
         let search = TreeSearch::new(&bench, opts);
         let init = search.initial_config(GlobalFlow::WestToEast).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SearchRng::new(9);
         let mut c = init;
         for _ in 0..200 {
             c = search.perturb(&c, 4, &mut rng);

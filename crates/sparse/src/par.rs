@@ -3,7 +3,7 @@
 //! The probe path of the thermal models spends almost all of its time in
 //! the Krylov loops: sparse matrix–vector products plus a handful of dense
 //! dot/axpy sweeps per iteration. This module parallelizes those kernels on
-//! the vendored `crossbeam` scoped threads.
+//! [`std::thread::scope`] workers.
 //!
 //! Two design points keep the kernels honest:
 //!
@@ -150,12 +150,8 @@ pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64], part: &RowPartition) {
     }
     M_SPMV_PARALLEL.inc();
     // Split y into one disjoint slice per range; ranges are contiguous and
-    // ordered, so a sweep of split_at_mut suffices. Worker panics propagate
-    // through the scoped join, so the Ok-only result can be discarded.
-    // Err only reports worker panics, which the scoped join already
-    // resumed on this thread.
-    // analyze:allow(error-discipline)
-    let _ = crossbeam::scope(|scope| {
+    // ordered, so a sweep of split_at_mut suffices.
+    std::thread::scope(|scope| {
         let mut rest = y;
         let mut offset = 0usize;
         for &(lo, hi) in part.ranges() {
@@ -163,7 +159,7 @@ pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64], part: &RowPartition) {
             let (chunk, tail) = rest.split_at_mut(hi - lo);
             rest = tail;
             offset = hi;
-            scope.spawn(move |_| spmv_rows(a, x, chunk, lo, hi));
+            scope.spawn(move || spmv_rows(a, x, chunk, lo, hi));
         }
     });
 }
@@ -193,12 +189,9 @@ pub fn dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
     }
     let blocks = blocks(a.len(), threads);
     let mut partial = vec![0.0f64; blocks.len()];
-    // Err only reports worker panics, which the scoped join already
-    // resumed on this thread.
-    // analyze:allow(error-discipline)
-    let _ = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &(lo, hi)) in partial.iter_mut().zip(&blocks) {
-            scope.spawn(move |_| *slot = ops::dot(&a[lo..hi], &b[lo..hi]));
+            scope.spawn(move || *slot = ops::dot(&a[lo..hi], &b[lo..hi]));
         }
     });
     partial.iter().sum()
@@ -221,10 +214,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
         return;
     }
     let blocks = blocks(x.len(), threads);
-    // Err only reports worker panics, which the scoped join already
-    // resumed on this thread.
-    // analyze:allow(error-discipline)
-    let _ = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut rest = y;
         let mut offset = 0usize;
         for &(lo, hi) in &blocks {
@@ -232,7 +222,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
             let (chunk, tail) = rest.split_at_mut(hi - lo);
             rest = tail;
             offset = hi;
-            scope.spawn(move |_| ops::axpy(alpha, &x[lo..hi], chunk));
+            scope.spawn(move || ops::axpy(alpha, &x[lo..hi], chunk));
         }
     });
 }
